@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "core/solver.h"
 #include "io/checkpoint.h"
 #include "io/csv_writer.h"
+#include "util/crc32.h"
 
 namespace tpf {
 namespace {
@@ -202,28 +204,53 @@ TEST(MeshRankInvariance, ResumeDropsIndexRowsNewerThanTheCheckpoint) {
     EXPECT_EQ(trimmed.stepOf(2), 8);
 }
 
-/// Golden mesh-index regression: the solidify index series at a pinned
-/// configuration against the committed tests/golden/solidify/mesh_index.csv
-/// (regenerate with TPF_REGEN_GOLDENS=1 ./tests/test_mesh_parallel). Every
-/// cell is IEEE-754 arithmetic on machine-independent fields in a fixed
-/// order printed with %.17g, so the reference reproduces across machines.
-TEST(MeshGolden, SolidifyIndexMatchesCommittedReference) {
+/// "file,crc32" table of every OBJ frame in \p dir, in file-name order: the
+/// byte-level fingerprint of the streamed meshes.
+std::string objCrcTable(const fs::path& dir) {
+    std::string table = "file,crc32\n";
+    for (const auto& [name, bytes] : readArtifacts(dir)) {
+        if (fs::path(name).extension() != ".obj") continue;
+        char line[96];
+        std::snprintf(line, sizeof line, "%s,%08x\n", name.c_str(),
+                      static_cast<unsigned>(
+                          util::crc32(bytes.data(), bytes.size())));
+        table += line;
+    }
+    return table;
+}
+
+/// Golden mesh regression: the solidify index series at a pinned
+/// configuration against the committed tests/golden/solidify/mesh_index.csv,
+/// and the CRC-32 of every streamed OBJ frame against
+/// tests/golden/solidify/mesh_obj_crc.csv (regenerate both with
+/// TPF_REGEN_GOLDENS=1 ./tests/test_mesh_parallel). Every cell and every
+/// vertex is IEEE-754 arithmetic on machine-independent fields in a fixed
+/// order printed with %.17g, so the references reproduce across machines —
+/// and any change to the extraction, weld or decimation that moves a single
+/// byte of a frame fails here.
+TEST(MeshGolden, SolidifyIndexAndObjFramesMatchCommittedReference) {
     const fs::path goldenCsv =
         fs::path(TPF_GOLDEN_DIR) / "solidify" / "mesh_index.csv";
+    const fs::path goldenCrc =
+        fs::path(TPF_GOLDEN_DIR) / "solidify" / "mesh_obj_crc.csv";
 
     TempDir dir("golden");
     runWithMeshObserver(meshConfig(1, 1), 1, /*steps=*/16, /*every=*/4,
                         dir.path.string());
     const fs::path freshCsv = dir.path / "mesh_index.csv";
+    const std::string freshCrc = objCrcTable(dir.path);
 
     if (std::getenv("TPF_REGEN_GOLDENS") != nullptr) {
         fs::copy_file(freshCsv, goldenCsv,
                       fs::copy_options::overwrite_existing);
-        GTEST_SKIP() << "regenerated golden mesh index " << goldenCsv;
+        std::ofstream(goldenCrc, std::ios::binary) << freshCrc;
+        GTEST_SKIP() << "regenerated golden mesh index " << goldenCsv
+                     << " and OBJ CRCs " << goldenCrc;
     }
 
-    ASSERT_TRUE(fs::exists(goldenCsv))
-        << "missing committed golden mesh index " << goldenCsv
+    ASSERT_TRUE(fs::exists(goldenCsv) && fs::exists(goldenCrc))
+        << "missing committed golden mesh references in "
+        << goldenCsv.parent_path()
         << " — run with TPF_REGEN_GOLDENS=1 and commit tests/golden/";
     const io::CsvDiff d =
         io::compareCsvSeries(goldenCsv.string(), freshCsv.string());
@@ -233,6 +260,11 @@ TEST(MeshGolden, SolidifyIndexMatchesCommittedReference) {
         << "\n  If this change to the extraction is intentional, regenerate "
            "with TPF_REGEN_GOLDENS=1 ./tests/test_mesh_parallel and commit "
            "tests/golden/.";
+    EXPECT_EQ(readAll(goldenCrc), freshCrc)
+        << "solidify OBJ frames are no longer byte-identical to the "
+           "committed reference (CRC-32 per frame). If this change to the "
+           "mesh is intentional, regenerate with TPF_REGEN_GOLDENS=1 "
+           "./tests/test_mesh_parallel and commit tests/golden/.";
 }
 
 } // namespace
