@@ -1,8 +1,8 @@
 #include "io/mesh.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 
 #include "util/assert.h"
 
@@ -10,21 +10,61 @@ namespace tpf::io {
 
 namespace {
 
-/// Hash key of a quantized 3D position.
-struct QuantKey {
-    std::int64_t x, y, z;
-    bool operator==(const QuantKey&) const = default;
-};
-
-struct QuantKeyHash {
-    std::size_t operator()(const QuantKey& k) const {
-        std::uint64_t h = 1469598103934665603ULL;
-        for (std::int64_t v : {k.x, k.y, k.z}) {
-            h ^= static_cast<std::uint64_t>(v);
-            h *= 1099511628211ULL;
-        }
-        return static_cast<std::size_t>(h);
+/// Open-addressing map from a quantization bin to the newest kept vertex in
+/// it: linear probing over a power-of-two array that is never more than half
+/// full, so the weld's 27 probes per input vertex — most of them misses —
+/// mostly end at the first slot they read, without a node allocation per bin.
+class BinTable {
+public:
+    explicit BinTable(std::size_t maxKeys) {
+        std::size_t cap = 16;
+        while (cap < 2 * maxKeys) cap *= 2;
+        mask_ = cap - 1;
+        slots_.resize(cap);
     }
+
+    /// Head of the chain of bin (x, y, z); -1 if the bin holds no vertex.
+    int find(std::int64_t x, std::int64_t y, std::int64_t z) const {
+        for (std::size_t i = home(x, y, z);; i = (i + 1) & mask_) {
+            const Slot& s = slots_[i];
+            if (s.head < 0) return -1;
+            if (s.x == x && s.y == y && s.z == z) return s.head;
+        }
+    }
+
+    /// Make \p kept the head of bin (x, y, z); returns the previous head
+    /// (-1 for a new bin).
+    int pushFront(std::int64_t x, std::int64_t y, std::int64_t z, int kept) {
+        for (std::size_t i = home(x, y, z);; i = (i + 1) & mask_) {
+            Slot& s = slots_[i];
+            if (s.head < 0) {
+                s = Slot{x, y, z, kept};
+                return -1;
+            }
+            if (s.x == x && s.y == y && s.z == z) {
+                const int prev = s.head;
+                s.head = kept;
+                return prev;
+            }
+        }
+    }
+
+private:
+    struct Slot {
+        std::int64_t x = 0, y = 0, z = 0;
+        int head = -1;
+    };
+
+    std::size_t home(std::int64_t x, std::int64_t y, std::int64_t z) const {
+        std::uint64_t h = static_cast<std::uint64_t>(x) * 0x9E3779B97F4A7C15ULL;
+        h ^= static_cast<std::uint64_t>(y) * 0xC2B2AE3D27D4EB4FULL;
+        h ^= static_cast<std::uint64_t>(z) * 0x165667B19E3779F9ULL;
+        h ^= h >> 32;
+        return static_cast<std::size_t>(h) & mask_;
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;
 };
 
 } // namespace
@@ -41,14 +81,12 @@ void TriMesh::weldVertices(double tol) {
     TPF_ASSERT(tol > 0.0, "weld tolerance must be positive");
     const double inv = 1.0 / tol;
 
-    // Hash grid of kept-vertex indices per quantization bin. A bin can hold
+    // Table of kept-vertex indices per quantization bin. A bin can hold
     // several representatives (points within a bin but further than tol
     // apart along some axis stay distinct), so each bin stores the head of
     // an intrusive chain through chainPrev — a per-bin std::vector would
-    // cost one heap allocation per bin, which dominates the weld on raw
-    // marching-tet output where nearly every kept vertex opens a new bin.
-    std::unordered_map<QuantKey, int, QuantKeyHash> bins;
-    bins.reserve(vertices.size());
+    // cost one heap allocation per bin.
+    BinTable bins(vertices.size());
     std::vector<int> remap(vertices.size());
     std::vector<Vec3> keptVertices;
     keptVertices.reserve(vertices.size());
@@ -65,14 +103,12 @@ void TriMesh::weldVertices(double tol) {
         // used to leave hairline cracks at tet/cube seams. Among all
         // candidates within tol (per axis) the earliest-kept index wins, so
         // welding stays a pure function of the input vertex order —
-        // first-insertion order, never the hash layout.
+        // first-insertion order, never the table layout.
         int match = -1;
         for (int dz = -1; dz <= 1; ++dz) {
             for (int dy = -1; dy <= 1; ++dy) {
                 for (int dx = -1; dx <= 1; ++dx) {
-                    const auto it = bins.find(QuantKey{bx + dx, by + dy, bz + dz});
-                    if (it == bins.end()) continue;
-                    for (int k = it->second; k >= 0;
+                    for (int k = bins.find(bx + dx, by + dy, bz + dz); k >= 0;
                          k = chainPrev[static_cast<std::size_t>(k)]) {
                         const Vec3& u = keptVertices[static_cast<std::size_t>(k)];
                         if (std::abs(u.x - v.x) <= tol &&
@@ -87,9 +123,7 @@ void TriMesh::weldVertices(double tol) {
         if (match < 0) {
             match = static_cast<int>(keptVertices.size());
             keptVertices.push_back(v);
-            const auto ins = bins.emplace(QuantKey{bx, by, bz}, match);
-            chainPrev.push_back(ins.second ? -1 : ins.first->second);
-            ins.first->second = match;
+            chainPrev.push_back(bins.pushFront(bx, by, bz, match));
         }
         remap[i] = match;
     }
@@ -135,64 +169,85 @@ double TriMesh::totalArea() const {
     return area;
 }
 
-namespace {
+std::vector<EdgeUse> sortedEdgeUses(const TriMesh& m) {
+    // Counting sort by the lower vertex (stable, so slot order survives),
+    // then an insertion sort by the upper vertex inside each bucket, whose
+    // size is of the order of a vertex degree: the full (key, slot) order
+    // without a comparison sort over all uses.
+    const std::size_t nv = m.vertices.size();
+    std::vector<int> start(nv + 2, 0);
+    for (const auto& t : m.triangles)
+        for (int e = 0; e < 3; ++e)
+            ++start[static_cast<std::size_t>(
+                        std::min(t[static_cast<std::size_t>(e)],
+                                 t[static_cast<std::size_t>((e + 1) % 3)])) +
+                    2];
+    for (std::size_t v = 2; v < start.size(); ++v) start[v] += start[v - 1];
 
-struct EdgeKey {
-    int a, b; // a < b
-    bool operator==(const EdgeKey&) const = default;
-};
-struct EdgeKeyHash {
-    std::size_t operator()(const EdgeKey& e) const {
-        return std::hash<long long>()((static_cast<long long>(e.a) << 32) ^ e.b);
-    }
-};
-
-std::unordered_map<EdgeKey, int, EdgeKeyHash> edgeUseCounts(const TriMesh& m) {
-    std::unordered_map<EdgeKey, int, EdgeKeyHash> counts;
-    counts.reserve(m.triangles.size() * 3);
-    for (const auto& t : m.triangles) {
+    std::vector<EdgeUse> uses(3 * m.triangles.size());
+    for (std::size_t f = 0; f < m.triangles.size(); ++f) {
+        const auto& t = m.triangles[f];
         for (int e = 0; e < 3; ++e) {
             int a = t[static_cast<std::size_t>(e)];
             int b = t[static_cast<std::size_t>((e + 1) % 3)];
             if (a > b) std::swap(a, b);
-            ++counts[EdgeKey{a, b}];
+            uses[static_cast<std::size_t>(
+                start[static_cast<std::size_t>(a) + 1]++)] = EdgeUse{
+                (static_cast<std::uint64_t>(a) << 32) |
+                    static_cast<std::uint32_t>(b),
+                static_cast<int>(f * 3) + e};
         }
     }
-    return counts;
+    // start[v] is now the first use of bucket v, start[v + 1] one past it.
+    for (std::size_t v = 0; v < nv; ++v) {
+        const auto first = uses.begin() + start[v];
+        const auto last = uses.begin() + start[v + 1];
+        for (auto it = first + (first != last); it < last; ++it) {
+            const EdgeUse u = *it;
+            auto hole = it;
+            for (; hole != first && (hole - 1)->key > u.key; --hole)
+                *hole = *(hole - 1);
+            *hole = u;
+        }
+    }
+    return uses;
 }
 
-} // namespace
-
 long long TriMesh::eulerCharacteristic() const {
-    const auto counts = edgeUseCounts(*this);
+    const std::vector<EdgeUse> uses = sortedEdgeUses(*this);
+    long long edges = 0;
+    for (std::size_t i = 0; i < uses.size(); ++i)
+        edges += (i == 0 || uses[i].key != uses[i - 1].key);
     // Count only vertices in use.
     std::vector<char> used(vertices.size(), 0);
     for (const auto& t : triangles)
         for (int idx : t) used[static_cast<std::size_t>(idx)] = 1;
     long long v = 0;
     for (char u : used) v += u;
-    return v - static_cast<long long>(counts.size()) +
-           static_cast<long long>(triangles.size());
+    return v - edges + static_cast<long long>(triangles.size());
 }
 
 bool TriMesh::isClosed() const {
     if (triangles.empty()) return false;
-    // tpf-lint: allow(unordered-iteration) -- pure all-of predicate; the
-    // result is independent of hash iteration order.
-    for (const auto& [edge, count] : edgeUseCounts(*this))
-        if (count != 2) return false;
+    const std::vector<EdgeUse> uses = sortedEdgeUses(*this);
+    // Closed: every run of equal keys has length exactly two.
+    for (std::size_t i = 0; i < uses.size(); i += 2)
+        if (i + 1 == uses.size() || uses[i + 1].key != uses[i].key ||
+            (i + 2 < uses.size() && uses[i + 2].key == uses[i].key))
+            return false;
     return true;
 }
 
 std::vector<char> TriMesh::openBoundaryVertices() const {
     std::vector<char> flags(vertices.size(), 0);
-    // tpf-lint: allow(unordered-iteration) -- idempotent flag sets; the
-    // resulting vector is independent of hash iteration order.
-    for (const auto& [edge, count] : edgeUseCounts(*this)) {
-        if (count == 1) {
-            flags[static_cast<std::size_t>(edge.a)] = 1;
-            flags[static_cast<std::size_t>(edge.b)] = 1;
-        }
+    const std::vector<EdgeUse> uses = sortedEdgeUses(*this);
+    for (std::size_t i = 0; i < uses.size(); ++i) {
+        const bool single =
+            (i == 0 || uses[i - 1].key != uses[i].key) &&
+            (i + 1 == uses.size() || uses[i + 1].key != uses[i].key);
+        if (!single) continue;
+        flags[static_cast<std::size_t>(uses[i].key >> 32)] = 1;
+        flags[static_cast<std::size_t>(uses[i].key & 0xffffffffULL)] = 1;
     }
     return flags;
 }

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/smallmat.h"
@@ -24,9 +25,9 @@ struct TriMesh {
     /// Append another mesh (indices shifted).
     void append(const TriMesh& o);
 
-    /// Merge vertices closer than \p tol (hash grid on quantized positions),
-    /// drop degenerate triangles. This is the stitching step for per-block
-    /// meshes that share vertices on block boundaries.
+    /// Merge vertices closer than \p tol (open-addressing table of quantized
+    /// positions), drop degenerate triangles. This is the stitching step for
+    /// per-block meshes that share vertices on block boundaries.
     void weldVertices(double tol = 1e-9);
 
     /// Remove vertices not referenced by any triangle.
@@ -57,5 +58,19 @@ struct TriMesh {
     /// Per-triangle unit normal (zero for degenerate triangles).
     Vec3 triangleNormal(std::size_t t) const;
 };
+
+/// One use of an undirected edge by a triangle: the packed vertex pair
+/// (min << 32 | max) and the corner slot face * 3 + e of the use (edge e runs
+/// from corner e to corner (e + 1) % 3).
+struct EdgeUse {
+    std::uint64_t key;
+    int slot;
+};
+
+/// Every edge use of \p m sorted by (key, slot): the uses of one edge form a
+/// run, and the first use of a run is the edge's first occurrence in
+/// triangle order. The single edge pass behind the closedness, Euler and
+/// open-boundary queries and the decimation's boundary planes and seeding.
+std::vector<EdgeUse> sortedEdgeUses(const TriMesh& m);
 
 } // namespace tpf::io

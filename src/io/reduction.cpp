@@ -17,9 +17,12 @@ std::vector<std::byte> serializeMesh(const TriMesh& m) {
     p += sizeof(nv);
     std::memcpy(p, &nt, sizeof(nt));
     p += sizeof(nt);
-    std::memcpy(p, m.vertices.data(), nv * sizeof(Vec3));
+    // An empty vector's data() may be null, which memcpy must not see even
+    // for zero bytes (empty chunks are serialized on every frame).
+    if (nv > 0) std::memcpy(p, m.vertices.data(), nv * sizeof(Vec3));
     p += nv * sizeof(Vec3);
-    std::memcpy(p, m.triangles.data(), nt * sizeof(std::array<int, 3>));
+    if (nt > 0)
+        std::memcpy(p, m.triangles.data(), nt * sizeof(std::array<int, 3>));
     return buf;
 }
 
@@ -37,9 +40,10 @@ TriMesh deserializeMesh(const std::vector<std::byte>& buf) {
                "mesh message size mismatch");
     m.vertices.resize(nv);
     m.triangles.resize(nt);
-    std::memcpy(m.vertices.data(), p, nv * sizeof(Vec3));
+    if (nv > 0) std::memcpy(m.vertices.data(), p, nv * sizeof(Vec3));
     p += nv * sizeof(Vec3);
-    std::memcpy(m.triangles.data(), p, nt * sizeof(std::array<int, 3>));
+    if (nt > 0)
+        std::memcpy(m.triangles.data(), p, nt * sizeof(std::array<int, 3>));
     return m;
 }
 
@@ -74,11 +78,7 @@ TriMesh reduceMeshHierarchical(TriMesh local, vmpi::Comm* comm,
         SimplifyOptions so;
         so.targetTriangles = opt.maxTriangles;
         so.maxError = opt.maxError;
-        std::vector<char> flags;
-        if (lockBoundaries) {
-            flags = m.openBoundaryVertices();
-            so.lockedFlags = &flags;
-        }
+        so.lockOpenBoundary = lockBoundaries;
         simplifyMesh(m, so);
     };
 

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <unordered_set>
+#include <cstdint>
 
-#include "util/assert.h"
+#include "io/collapse_heap.h"
 
 namespace tpf::io {
 
@@ -70,15 +69,6 @@ struct Quadric {
     }
 };
 
-struct HeapEntry {
-    double error;
-    int v1, v2;       ///< collapse v2 into v1 at position pos
-    Vec3 pos;
-    long long stamp1, stamp2; ///< vertex versions at push time
-
-    bool operator<(const HeapEntry& o) const { return error > o.error; }
-};
-
 struct Connectivity {
     std::vector<std::vector<int>> vertexFaces; // face ids per vertex
     std::vector<char> faceAlive;
@@ -112,40 +102,38 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
             quadrics[static_cast<std::size_t>(corner)].addPlane(n, d, w);
     }
 
-    // --- open-boundary constraint planes + locked-vertex pins ---
+    // --- one sorted edge pass: open-boundary constraint planes, boundary
+    // locks and the heap seed order ---
+    // Locked vertices (block-boundary preservation during hierarchical
+    // reduction): edges touching them are never collapsed.
+    std::vector<char> locked(nv, 0);
+    if (opt.lockedVertex) {
+        for (std::size_t v = 0; v < nv; ++v)
+            if (opt.lockedVertex(mesh.vertices[v])) locked[v] = 1;
+    }
+    std::vector<char> firstUse(3 * nf, 0); ///< slot f*3+e opens a new edge
     {
-        // Sorted edge list instead of a hash map: the boundary planes below
-        // are accumulated into floating-point quadrics, and accumulation
-        // order must not depend on hash iteration order or the simplified
-        // mesh stops being bitwise reproducible across standard libraries
-        // (tpf-lint: unordered-iteration).
-        std::vector<std::pair<long long, int>> edges; // (packed a<b key, face)
-        edges.reserve(nf * 3);
-        for (std::size_t f = 0; f < nf; ++f) {
-            const auto& t = mesh.triangles[f];
-            for (int e = 0; e < 3; ++e) {
-                int a = t[static_cast<std::size_t>(e)];
-                int b = t[static_cast<std::size_t>((e + 1) % 3)];
-                if (a > b) std::swap(a, b);
-                edges.emplace_back((static_cast<long long>(a) << 32) | b,
-                                   static_cast<int>(f));
-            }
-        }
-        std::sort(edges.begin(), edges.end());
-        for (std::size_t i = 0; i < edges.size();) {
+        // Sorted, not hashed: the boundary planes below are accumulated into
+        // floating-point quadrics, and accumulation order must not depend on
+        // hash iteration order or the simplified mesh stops being bitwise
+        // reproducible across standard libraries.
+        const std::vector<EdgeUse> uses = sortedEdgeUses(mesh);
+        for (std::size_t i = 0; i < uses.size();) {
             std::size_t j = i + 1;
-            while (j < edges.size() && edges[j].first == edges[i].first) ++j;
+            while (j < uses.size() && uses[j].key == uses[i].key) ++j;
             const bool boundaryEdge = (j - i == 1);
-            const long long key = edges[i].first;
-            const int face = edges[i].second;
+            const EdgeUse first = uses[i];
             i = j;
+            firstUse[static_cast<std::size_t>(first.slot)] = 1;
             if (!boundaryEdge) continue; // interior edge
-            const int ea = static_cast<int>(key >> 32);
-            const int eb = static_cast<int>(key & 0xffffffffLL);
+            const auto ea = static_cast<std::size_t>(first.key >> 32);
+            const auto eb = static_cast<std::size_t>(first.key & 0xffffffffULL);
+            if (opt.lockOpenBoundary) locked[ea] = locked[eb] = 1;
             // Constraint plane through the edge, perpendicular to the face.
-            const auto& t = mesh.triangles[static_cast<std::size_t>(face)];
-            const Vec3& a = mesh.vertices[static_cast<std::size_t>(ea)];
-            const Vec3& b = mesh.vertices[static_cast<std::size_t>(eb)];
+            const auto& t =
+                mesh.triangles[static_cast<std::size_t>(first.slot / 3)];
+            const Vec3& a = mesh.vertices[ea];
+            const Vec3& b = mesh.vertices[eb];
             const Vec3& fa = mesh.vertices[static_cast<std::size_t>(t[0])];
             const Vec3& fb = mesh.vertices[static_cast<std::size_t>(t[1])];
             const Vec3& fc3 = mesh.vertices[static_cast<std::size_t>(t[2])];
@@ -154,29 +142,10 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
             const double len = n.norm();
             if (len < 1e-300) continue;
             n = n * (1.0 / len);
-            quadrics[static_cast<std::size_t>(ea)].addPlane(
-                n, -n.dot(a), opt.openBoundaryWeight);
-            quadrics[static_cast<std::size_t>(eb)].addPlane(
-                n, -n.dot(b), opt.openBoundaryWeight);
+            quadrics[ea].addPlane(n, -n.dot(a), opt.openBoundaryWeight);
+            quadrics[eb].addPlane(n, -n.dot(b), opt.openBoundaryWeight);
         }
     }
-    // Locked vertices (block-boundary preservation during hierarchical
-    // reduction): edges touching them are never collapsed.
-    std::vector<char> locked(nv, 0);
-    bool anyLocked = false;
-    if (opt.lockedFlags) {
-        TPF_ASSERT(opt.lockedFlags->size() == nv, "lock flag size mismatch");
-        locked = *opt.lockedFlags;
-        for (char c : locked) anyLocked |= (c != 0);
-    }
-    if (opt.lockedVertex) {
-        for (std::size_t v = 0; v < nv; ++v)
-            if (opt.lockedVertex(mesh.vertices[v])) {
-                locked[v] = 1;
-                anyLocked = true;
-            }
-    }
-    (void)anyLocked;
 
     // --- connectivity ---
     Connectivity conn;
@@ -187,55 +156,59 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
             conn.vertexFaces[static_cast<std::size_t>(corner)].push_back(
                 static_cast<int>(f));
 
-    std::vector<long long> stamp(nv, 0);
-    std::priority_queue<HeapEntry> heap;
+    std::vector<std::uint32_t> stamp(nv, 0);
+    CollapseHeap heap;
+
+    // Optimal collapse position of edge (v1, v2) and its quadric error. A
+    // pure function of the two vertices' quadrics and positions, which only
+    // change together with their stamps — so a heap entry whose stamps are
+    // still current recomputes the position it was pushed with, bitwise.
+    auto collapseTarget = [&](int v1, int v2, double& err) {
+        Quadric q = quadrics[static_cast<std::size_t>(v1)];
+        q += quadrics[static_cast<std::size_t>(v2)];
+        Vec3 best;
+        if (q.optimalPoint(best)) {
+            err = q.eval(best);
+            return best;
+        }
+        const Vec3 cands[3] = {
+            mesh.vertices[static_cast<std::size_t>(v1)],
+            mesh.vertices[static_cast<std::size_t>(v2)],
+            (mesh.vertices[static_cast<std::size_t>(v1)] +
+             mesh.vertices[static_cast<std::size_t>(v2)]) *
+                0.5};
+        best = cands[0];
+        err = q.eval(cands[0]);
+        for (const Vec3& c : {cands[1], cands[2]}) {
+            const double e = q.eval(c);
+            if (e < err) {
+                err = e;
+                best = c;
+            }
+        }
+        return best;
+    };
 
     auto pushEdge = [&](int v1, int v2) {
         if (v1 == v2) return;
         if (locked[static_cast<std::size_t>(v1)] ||
             locked[static_cast<std::size_t>(v2)])
             return;
-        Quadric q = quadrics[static_cast<std::size_t>(v1)];
-        q += quadrics[static_cast<std::size_t>(v2)];
-        Vec3 best;
-        double bestErr;
-        if (q.optimalPoint(best)) {
-            bestErr = q.eval(best);
-        } else {
-            const Vec3 cands[3] = {
-                mesh.vertices[static_cast<std::size_t>(v1)],
-                mesh.vertices[static_cast<std::size_t>(v2)],
-                (mesh.vertices[static_cast<std::size_t>(v1)] +
-                 mesh.vertices[static_cast<std::size_t>(v2)]) *
-                    0.5};
-            best = cands[0];
-            bestErr = q.eval(cands[0]);
-            for (const Vec3& c : {cands[1], cands[2]}) {
-                const double e = q.eval(c);
-                if (e < bestErr) {
-                    bestErr = e;
-                    best = c;
-                }
-            }
-        }
-        heap.push(HeapEntry{bestErr, v1, v2, best,
-                            stamp[static_cast<std::size_t>(v1)],
-                            stamp[static_cast<std::size_t>(v2)]});
+        double err;
+        collapseTarget(v1, v2, err);
+        heap.push(CollapseEntry{err, v1, v2,
+                                stamp[static_cast<std::size_t>(v1)],
+                                stamp[static_cast<std::size_t>(v2)]});
     };
 
-    // Seed the heap with all edges.
-    {
-        std::unordered_set<long long> seen;
-        for (std::size_t f = 0; f < nf; ++f) {
-            const auto& t = mesh.triangles[f];
-            for (int e = 0; e < 3; ++e) {
-                int a = t[static_cast<std::size_t>(e)];
-                int b = t[static_cast<std::size_t>((e + 1) % 3)];
-                if (a > b) std::swap(a, b);
-                if (seen.insert((static_cast<long long>(a) << 32) | b).second)
-                    pushEdge(a, b);
-            }
-        }
+    // Seed the heap with every edge in first-occurrence order.
+    for (std::size_t s = 0; s < 3 * nf; ++s) {
+        if (!firstUse[s]) continue;
+        const auto& t = mesh.triangles[s / 3];
+        int a = t[s % 3];
+        int b = t[(s % 3 + 1) % 3];
+        if (a > b) std::swap(a, b);
+        pushEdge(a, b);
     }
 
     std::size_t aliveFaces = nf;
@@ -245,12 +218,14 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
     std::vector<int> neighbors; // reused across collapses (hot loop)
 
     while (aliveFaces > target && !heap.empty()) {
-        const HeapEntry top = heap.top();
+        const CollapseEntry top = heap.top();
         heap.pop();
         const auto v1 = static_cast<std::size_t>(top.v1);
         const auto v2 = static_cast<std::size_t>(top.v2);
         if (top.stamp1 != stamp[v1] || top.stamp2 != stamp[v2]) continue;
         if (top.error > opt.maxError) break;
+        double err;
+        const Vec3 pos = collapseTarget(top.v1, top.v2, err);
 
         // Fold-over check: surviving faces around v1/v2 must not flip.
         bool flip = false;
@@ -267,7 +242,7 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
                         t[static_cast<std::size_t>(c)])];
                     pNew[c] = (t[static_cast<std::size_t>(c)] == top.v1 ||
                                t[static_cast<std::size_t>(c)] == top.v2)
-                                  ? top.pos
+                                  ? pos
                                   : p[c];
                 }
                 const Vec3 nOld = (p[1] - p[0]).cross(p[2] - p[0]);
@@ -280,8 +255,8 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
         }
         if (flip) continue;
 
-        // Perform the collapse: v2 -> v1 at top.pos.
-        mesh.vertices[v1] = top.pos;
+        // Perform the collapse: v2 -> v1 at pos.
+        mesh.vertices[v1] = pos;
         quadrics[v1] += quadrics[v2];
         ++stamp[v1];
         ++stamp[v2];
@@ -314,10 +289,9 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
                      vf.end());
         }
 
-        // Refresh candidate edges around the merged vertex. Sorted-unique
-        // vector, not an unordered_set: the push order seeds the collapse
-        // heap, and heap tie-breaking must not inherit hash iteration order
-        // (tpf-lint: unordered-iteration).
+        // Refresh candidate edges around the merged vertex in ascending
+        // neighbor order: the push order decides heap ties, so it must be a
+        // function of the mesh alone.
         neighbors.clear();
         for (int f : conn.vertexFaces[v1]) {
             if (!conn.faceAlive[static_cast<std::size_t>(f)]) continue;

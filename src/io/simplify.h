@@ -27,8 +27,9 @@ struct SimplifyOptions {
     /// Predicate marking vertices to pin exactly (no collapse touches them);
     /// may be empty.
     std::function<bool(const Vec3&)> lockedVertex;
-    /// Alternative per-index lock flags (same semantics; either may be set).
-    const std::vector<char>* lockedFlags = nullptr;
+    /// Also pin every vertex on an open-boundary edge (an edge used by one
+    /// triangle): the borders a later stitching weld must find intact.
+    bool lockOpenBoundary = false;
 };
 
 /// Simplify \p mesh in place. Returns the number of collapses performed.

@@ -1,7 +1,7 @@
 #include "io/writers.h"
 
+#include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -13,19 +13,39 @@ namespace tpf::io {
 void writeObj(const std::string& path, const TriMesh& mesh) {
     std::ofstream out(path);
     TPF_ASSERT(out.good(), "cannot open OBJ file for writing");
-    out << "# TernaryPF surface mesh\n";
-    // %.17g round-trips IEEE-754 doubles exactly: readObj() reconstructs the
-    // mesh bitwise, and two runs producing bitwise-identical meshes write
-    // byte-identical files (the mesh_rank_invariance contract compares the
-    // OBJ artifacts directly).
+    // General form with 17 significant digits, which std::to_chars specifies
+    // to print as printf's %.17g does: it round-trips IEEE-754 doubles exactly,
+    // so readObj() reconstructs the mesh bitwise, and two runs producing
+    // bitwise-identical meshes write byte-identical files (the
+    // mesh_rank_invariance contract compares the OBJ artifacts directly).
+    std::string text = "# TernaryPF surface mesh\n";
+    text.reserve(text.size() + mesh.vertices.size() * 64 +
+                 mesh.triangles.size() * 24);
     char line[128];
+    const auto put = [&](char* at, double v) {
+        *at++ = ' ';
+        return std::to_chars(at, line + sizeof line, v,
+                             std::chars_format::general, 17)
+            .ptr;
+    };
     for (const Vec3& v : mesh.vertices) {
-        std::snprintf(line, sizeof line, "v %.17g %.17g %.17g\n", v.x, v.y,
-                      v.z);
-        out << line;
+        char* at = line;
+        *at++ = 'v';
+        at = put(put(put(at, v.x), v.y), v.z);
+        *at++ = '\n';
+        text.append(line, at);
     }
-    for (const auto& t : mesh.triangles)
-        out << "f " << t[0] + 1 << ' ' << t[1] + 1 << ' ' << t[2] + 1 << '\n';
+    for (const auto& t : mesh.triangles) {
+        char* at = line;
+        *at++ = 'f';
+        for (const int i : t) {
+            *at++ = ' ';
+            at = std::to_chars(at, line + sizeof line, i + 1).ptr;
+        }
+        *at++ = '\n';
+        text.append(line, at);
+    }
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
     TPF_ASSERT(out.good(), "OBJ write failed");
 }
 

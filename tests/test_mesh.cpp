@@ -14,7 +14,10 @@
 #include <vector>
 
 #include "comm/exchange.h"
+#include "core/solver.h"
+#include "io/collapse_heap.h"
 #include "io/marching_cubes.h"
+#include "io/mc_tables.h"
 #include "io/mesh_pipeline.h"
 #include "io/reduction.h"
 #include "io/simplify.h"
@@ -167,6 +170,206 @@ TEST(IsoSurface, ThreadPoolDoesNotChangeTheMesh) {
     }
 }
 
+// --- edge-shared extraction vertices against the raw-soup path ---
+
+namespace soup {
+
+// The extraction as it was before edge-shared vertices: every tetrahedron
+// emits three fresh vertices per triangle, and one 1e-7 weld merges the
+// soup. Kept here as the oracle the shared-vertex extraction must
+// reproduce byte for byte.
+
+Vec3 edgePoint(Vec3 pa, double va, Vec3 pb, double vb, double iso) {
+    const double denom = vb - va;
+    const double t = (std::abs(denom) < 1e-300) ? 0.5 : (iso - va) / denom;
+    return pa + (pb - pa) * t;
+}
+
+void emitTriangle(TriMesh& m, Vec3 a, Vec3 b, Vec3 c, Vec3 insidePoint) {
+    const Vec3 n = (b - a).cross(c - a);
+    if (!(n.dot(n) > 0.0)) return;
+    const Vec3 centroid = (a + b + c) * (1.0 / 3.0);
+    if (n.dot(insidePoint - centroid) > 0.0) std::swap(b, c);
+    const int base = static_cast<int>(m.vertices.size());
+    m.vertices.push_back(a);
+    m.vertices.push_back(b);
+    m.vertices.push_back(c);
+    m.triangles.push_back({base, base + 1, base + 2});
+}
+
+void marchTet(TriMesh& m, const Vec3 p[4], const double v[4], double iso) {
+    int inside[4], outside[4];
+    int ni = 0, no = 0;
+    for (int i = 0; i < 4; ++i) {
+        if (v[i] >= iso)
+            inside[ni++] = i;
+        else
+            outside[no++] = i;
+    }
+    if (ni == 0 || ni == 4) return;
+    if (ni == 1 || ni == 3) {
+        const int lone = (ni == 1) ? inside[0] : outside[0];
+        const int* o = (ni == 1) ? outside : inside;
+        const Vec3 a = edgePoint(p[lone], v[lone], p[o[0]], v[o[0]], iso);
+        const Vec3 b = edgePoint(p[lone], v[lone], p[o[1]], v[o[1]], iso);
+        const Vec3 c = edgePoint(p[lone], v[lone], p[o[2]], v[o[2]], iso);
+        const Vec3 insidePt =
+            (ni == 1) ? p[lone] : (p[o[0]] + p[o[1]] + p[o[2]]) * (1.0 / 3.0);
+        emitTriangle(m, a, b, c, insidePt);
+    } else {
+        const int i0 = inside[0], i1 = inside[1];
+        const int o0 = outside[0], o1 = outside[1];
+        const Vec3 q00 = edgePoint(p[i0], v[i0], p[o0], v[o0], iso);
+        const Vec3 q01 = edgePoint(p[i0], v[i0], p[o1], v[o1], iso);
+        const Vec3 q10 = edgePoint(p[i1], v[i1], p[o0], v[o0], iso);
+        const Vec3 q11 = edgePoint(p[i1], v[i1], p[o1], v[o1], iso);
+        emitTriangle(m, q00, q01, q11, p[i0]);
+        emitTriangle(m, q00, q11, q10, p[i1]);
+    }
+}
+
+TriMesh extract(const Field<double>& f, int comp, double iso, Vec3 origin,
+                int z0, int z1, bool wrapXY) {
+    TriMesh m;
+    const int nx = f.nx(), ny = f.ny();
+    for (int z = z0; z < z1; ++z) {
+        for (int y = 0; y < ny; ++y) {
+            for (int x = 0; x < nx; ++x) {
+                double cv[8];
+                Vec3 cp[8];
+                for (int c = 0; c < 8; ++c) {
+                    const auto& o = kCubeCorner[static_cast<std::size_t>(c)];
+                    int rx = x + o[0], ry = y + o[1];
+                    if (wrapXY) {
+                        rx %= nx;
+                        ry %= ny;
+                    }
+                    cv[c] = f(rx, ry, z + o[2], comp);
+                    cp[c] = Vec3{origin.x + x + o[0] + 0.5,
+                                 origin.y + y + o[1] + 0.5,
+                                 origin.z + z + o[2] + 0.5};
+                }
+                for (const auto& tet : kCubeTets) {
+                    const Vec3 tp[4] = {cp[tet[0]], cp[tet[1]], cp[tet[2]],
+                                        cp[tet[3]]};
+                    const double tv[4] = {cv[tet[0]], cv[tet[1]], cv[tet[2]],
+                                          cv[tet[3]]};
+                    marchTet(m, tp, tv, iso);
+                }
+            }
+        }
+    }
+    m.weldVertices(1e-7);
+    return m;
+}
+
+} // namespace soup
+
+TEST(IsoSurface, KuhnTetEdgesJoinACornerToASupersetCorner) {
+    // The premise of the edge-shared vertex table: every tet edge is named
+    // by its lower corner and the corner delta.
+    for (const auto& tet : kCubeTets)
+        for (int i = 0; i < 4; ++i)
+            for (int j = i + 1; j < 4; ++j) {
+                const int a = tet[static_cast<std::size_t>(i)];
+                const int b = tet[static_cast<std::size_t>(j)];
+                EXPECT_TRUE((a & b) == a || (a & b) == b)
+                    << "tet edge " << a << "-" << b;
+            }
+}
+
+/// Both extraction entry points against the raw-soup oracle, bytewise.
+void expectSoupIdentical(const Field<double>& f, int comp, Vec3 origin) {
+    const TriMesh wrapped = extractIsoSurfaceWrapXY(f, comp, 0.5, origin, 0,
+                                                    f.nz());
+    ASSERT_GT(wrapped.numTriangles(), 0u);
+    EXPECT_TRUE(serializeMesh(wrapped) ==
+                serializeMesh(soup::extract(f, comp, 0.5, origin, 0, f.nz(),
+                                            /*wrapXY=*/true)))
+        << "wrapped extraction differs from the raw-soup path";
+    EXPECT_TRUE(serializeMesh(extractIsoSurface(f, comp, 0.5, origin)) ==
+                serializeMesh(soup::extract(f, comp, 0.5, origin, 0, f.nz(),
+                                            /*wrapXY=*/false)))
+        << "ghost-read extraction differs from the raw-soup path";
+}
+
+TEST(IsoSurface, SharedEdgeVerticesMatchRawSoupWithExactIsoHits) {
+    Field<double> f(24, 24, 24, 1, 1, Layout::fzyx);
+    fillSphere(f, 0, {12, 12, 12}, 7.0, {0, 0, 0});
+    int snapped = 0;
+    forEachCell(f.withGhosts(), [&](int x, int y, int z) {
+        if (std::abs(f(x, y, z, 0) - 0.5) < 0.15) {
+            f(x, y, z, 0) = 0.5;
+            ++snapped;
+        }
+    });
+    ASSERT_GT(snapped, 100) << "fixture must exercise exact iso hits";
+    expectSoupIdentical(f, 0, {0, 0, 0});
+}
+
+TEST(IsoSurface, SharedEdgeVerticesMatchRawSoupAcrossTheWrapColumn) {
+    // A periodic sphere centred on the domain corner: its surface crosses
+    // the x/y wrap column, where the wrapped cube reads x/y = 0 but its
+    // vertices sit at the unwrapped x/y = n + 0.5.
+    const int n = 16;
+    Field<double> f(n, n, n, 1, 1, Layout::fzyx);
+    forEachCell(f.withGhosts(), [&](int x, int y, int z) {
+        const auto periodic = [&](double d) {
+            d = std::fmod(std::abs(d), static_cast<double>(n));
+            return std::min(d, n - d);
+        };
+        const Vec3 d{periodic(x + 0.5), periodic(y + 0.5), z + 0.5 - 8.0};
+        f(x, y, z, 0) = 1.0 / (1.0 + std::exp(2.0 * (d.norm() - 5.0)));
+    });
+    expectSoupIdentical(f, 0, {0, 0, 3});
+    const TriMesh m = extractIsoSurfaceWrapXY(f, 0, 0.5, {0, 0, 3}, 0, n);
+    const auto [lo, hi] = m.boundingBox();
+    EXPECT_GT(hi.x, n) << "fixture must cross the x wrap column";
+    EXPECT_GT(hi.y, n) << "fixture must cross the y wrap column";
+}
+
+TEST(IsoSurface, SharedEdgeVerticesMatchRawSoupOnASolidifyBlock) {
+    core::SolverConfig cfg;
+    cfg.globalCells = {16, 16, 32};
+    core::Solver solver(cfg, nullptr);
+    solver.initialize();
+    solver.run(4);
+    const core::SimBlock& blk = *solver.localBlocks().front();
+    const Vec3 origin{static_cast<double>(blk.origin.x),
+                      static_cast<double>(blk.origin.y),
+                      static_cast<double>(blk.origin.z)};
+    for (int phase = 0; phase < 3; ++phase) {
+        SCOPED_TRACE("phase " + std::to_string(phase));
+        expectSoupIdentical(blk.phiSrc, phase, origin);
+    }
+}
+
+// --- collapse heap ---
+
+TEST(CollapseHeap, TiedPopOrderIsPinned) {
+    // 40 pushes with errors cycling 0, 2, 1 and a pop after every third
+    // push, then a drain. The tie order is the sift sequence of libstdc++'s
+    // push_heap/pop_heap, hard-coded so that no standard library can move it.
+    CollapseHeap heap;
+    std::vector<int> order;
+    for (int i = 0; i < 40; ++i) {
+        heap.push(CollapseEntry{static_cast<double>((i * 5) % 3), i, 0, 0, 0});
+        if (i % 3 == 2) {
+            order.push_back(heap.top().v1);
+            heap.pop();
+        }
+    }
+    while (!heap.empty()) {
+        order.push_back(heap.top().v1);
+        heap.pop();
+    }
+    const std::vector<int> expected{
+        0,  3,  6,  9,  12, 15, 18, 21, 24, 27, 30, 33, 36, 39,
+        35, 38, 26, 20, 14, 32, 5,  29, 17, 8,  11, 2,  23, 13,
+        16, 1,  7,  19, 37, 34, 28, 10, 22, 31, 4,  25};
+    EXPECT_EQ(order, expected);
+}
+
 TEST(Mesh, WeldMergesDuplicates) {
     TriMesh m;
     m.vertices = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0},
@@ -202,6 +405,38 @@ TEST(Mesh, WeldMergesAcrossQuantizationBinBoundary) {
     // First-insertion order: the kept representative is the earliest copy.
     EXPECT_EQ(m.vertices[0].x, 0.3 * tol);
     EXPECT_EQ(m.triangles[1][0], 0);
+}
+
+TEST(Mesh, SortedEdgeQueriesOnOpenAndClosedSurfaces) {
+    // A tetrahedron (closed) and the same tetrahedron minus one face (open,
+    // the missing face's three edges become the rim), plus an unused
+    // vertex that the Euler count must ignore.
+    TriMesh closed;
+    closed.vertices = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {5, 5, 5}};
+    closed.triangles = {{0, 2, 1}, {0, 1, 3}, {1, 2, 3}, {0, 3, 2}};
+    EXPECT_TRUE(closed.isClosed());
+    EXPECT_EQ(closed.eulerCharacteristic(), 2);
+    EXPECT_EQ(closed.openBoundaryVertices(),
+              (std::vector<char>{0, 0, 0, 0, 0}));
+
+    TriMesh open = closed;
+    open.triangles.erase(open.triangles.begin() + 2); // drop {1, 2, 3}
+    EXPECT_FALSE(open.isClosed());
+    EXPECT_EQ(open.eulerCharacteristic(), 1); // a disc
+    EXPECT_EQ(open.openBoundaryVertices(), (std::vector<char>{0, 1, 1, 1, 0}));
+
+    // Uses come sorted by (key, slot): one run per edge, first occurrence
+    // (smallest face * 3 + e) first.
+    const std::vector<EdgeUse> uses = sortedEdgeUses(open);
+    ASSERT_EQ(uses.size(), 9u);
+    for (std::size_t i = 1; i < uses.size(); ++i)
+        EXPECT_TRUE(uses[i - 1].key < uses[i].key ||
+                    (uses[i - 1].key == uses[i].key &&
+                     uses[i - 1].slot < uses[i].slot));
+    EXPECT_EQ(uses.front().key, (0ULL << 32) | 1ULL); // edge 0-1
+    EXPECT_EQ(uses.front().slot, 2);                  // face 0, edge 2 -> 0
+    EXPECT_EQ(uses.back().key, (2ULL << 32) | 3ULL);
+    EXPECT_FALSE(TriMesh{}.isClosed());
 }
 
 TEST(Mesh, ObjRoundTripIsBitwiseExact) {
@@ -406,7 +641,8 @@ TriMesh stitchSphere(int ranks, int threads, double reduceTarget) {
         }
         const std::vector<MeshLocalSlab> slabs{
             MeshLocalSlab{&f, Int3{0, 0, zBase}}};
-        TriMesh stitched = stitchIsoSurface(slabs, 0, comm, opt);
+        TriMesh stitched =
+            std::move(stitchIsoSurface(slabs, {0}, comm, opt).front());
         if (comm == nullptr || comm->isRoot())
             result = std::move(stitched);
         else
