@@ -118,7 +118,7 @@ void BM_MuSweepPerCell(benchmark::State& state) {
     tz.build(ctx.mc, temp, 0, 40, 0.0, 0.0);
     ctx.tz = &tz;
     ctx.temp = &temp;
-    core::runPhiKernel(core::PhiKernelKind::SimdTzStagCut, blk, ctx);
+    core::runPhiKernel(core::SolverConfig{}.phiKernel, blk, ctx);
     for (auto _ : state) {
         core::runMuKernel(kind, blk, ctx);
     }

@@ -32,7 +32,8 @@ struct KernelTarget {
     int width;        ///< lanes of the multi-cell bodies (cellwise is 4-wide)
     void (*phiCellwise)(SimBlock&, const StepContext&, bool useTz, bool useStag,
                         bool shortcuts);
-    void (*phiMultiCell)(SimBlock&, const StepContext&);
+    void (*phiMultiCell)(SimBlock&, const StepContext&, bool useTz,
+                         bool useStag, bool shortcuts);
     void (*muMultiCell)(SimBlock&, const StepContext&, bool useTz, bool useStag,
                         bool shortcuts, MuSweepPart part);
 };

@@ -8,9 +8,10 @@ namespace {
 
 /// Vectorized sweeps go through the runtime-selected instruction-set target
 /// (core/kernel_dispatch.h). The cellwise phi body is always 4-wide; the
-/// multi-cell bodies need nx >= target width, below which the compile-time
-/// Vec4d entry points take over (bitwise identical — the targets only differ
-/// in instruction encoding, never in arithmetic).
+/// multi-cell bodies need nx >= target width. Narrower mu blocks take the
+/// compile-time Vec4d entry point, and phi blocks the multi-cell body cannot
+/// take run the cellwise body, which it matches bitwise (the targets only
+/// differ in instruction encoding, never in arithmetic).
 void dispatchPhiCellwise(SimBlock& b, const StepContext& ctx, bool useTz,
                          bool useStag, bool shortcuts) {
     activeKernelTarget()->phiCellwise(b, ctx, useTz, useStag, shortcuts);
@@ -18,10 +19,11 @@ void dispatchPhiCellwise(SimBlock& b, const StepContext& ctx, bool useTz,
 
 void dispatchPhiMultiCell(SimBlock& b, const StepContext& ctx) {
     const KernelTarget* t = activeKernelTarget();
-    if (b.size.x >= t->width)
-        t->phiMultiCell(b, ctx);
+    if (b.size.x >= t->width && b.phiSrc.layout() == Layout::fzyx &&
+        b.muSrc.layout() == Layout::fzyx)
+        t->phiMultiCell(b, ctx, true, true, true);
     else
-        phiSweepSimdFourCell(b, ctx);
+        t->phiCellwise(b, ctx, true, true, true);
 }
 
 void dispatchMuMultiCell(SimBlock& b, const StepContext& ctx, bool useTz,

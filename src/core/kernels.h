@@ -12,16 +12,20 @@
 ///  Simd        (cellwise, no caches)    | "with SIMD intrinsics, single cell"
 ///  SimdTz      (+ z-slice cache)        | "with T(z) optimization"
 ///  SimdTzStag  (+ staggered buffers)    | "with staggered buffer"
-///  SimdTzStagCut (+ bulk shortcuts)     | "with shortcuts"  [production]
-///  SimdFourCell (four cells at once)    | Figure 5 "four cells"
+///  SimdTzStagCut (+ bulk shortcuts)     | "with shortcuts"
+///  SimdFourCell (multi-cell Tz+Stag+Cut)| Figure 5 "four cells"  [production]
 ///  ScalarTzStag / ScalarTzStagCut       | ablation: all algorithmic
 ///                                       | optimizations without SIMD
 ///
-///  mu kernels mirror the same stages with four-cell vectorization (the only
-///  viable strategy for the mu-sweep, as in the paper).
+///  SimdFourCell holds one phase of V::width consecutive x-cells per vector
+///  (8 under the avx512 target) and is bitwise equal to SimdTzStagCut; blocks
+///  it cannot take (nx below the target width, zyxf layout) run the cellwise
+///  SimdTzStagCut body instead. mu kernels mirror the same stages with
+///  multi-cell vectorization (the only viable strategy for the mu-sweep, as
+///  in the paper).
 ///
 /// All variants are checked for equivalence by tests/test_phi_kernels.cpp and
-/// tests/test_mu_kernels.cpp.
+/// tests/test_mu_kernels.cpp (docs/KERNELS.md "Variant contract").
 
 #include <string>
 #include <vector>
@@ -122,9 +126,6 @@ bool needsTzCache(MuKernelKind k);
 void phiSweepGeneral(SimBlock& b, const StepContext& ctx);
 void phiSweepBasic(SimBlock& b, const StepContext& ctx);
 void phiSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts);
-void phiSweepSimdCellwise(SimBlock& b, const StepContext& ctx, bool useTz,
-                          bool useStag, bool shortcuts);
-void phiSweepSimdFourCell(SimBlock& b, const StepContext& ctx);
 
 void muSweepGeneral(SimBlock& b, const StepContext& ctx);
 void muSweepBasic(SimBlock& b, const StepContext& ctx, MuSweepPart part);

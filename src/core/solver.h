@@ -39,7 +39,7 @@ struct SolverConfig {
 
     ModelParams model = ModelParams::defaults();
 
-    PhiKernelKind phiKernel = PhiKernelKind::SimdTzStagCut;
+    PhiKernelKind phiKernel = PhiKernelKind::SimdFourCell;
     MuKernelKind muKernel = MuKernelKind::SimdTzStagCut;
 
     /// Split: phi sweep, phi exchange, mu sweep (Algorithm 1/2). Fused: the

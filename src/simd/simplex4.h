@@ -3,19 +3,31 @@
 /// Vectorized Gibbs-simplex projection for the four-cell kernels: four phase
 /// values held in four registers (one lane per cell). The vertical sorting
 /// network and the threshold selection mirror tpf::projectToSimplex4
-/// operation-for-operation, so the result is bitwise identical per cell.
+/// operation-for-operation, so the result is bitwise identical per cell —
+/// signed zeros, NaN and infinities included. Comparisons select through
+/// V::blend, never V::max/V::min: the hardware max/min return their second
+/// operand for +-0 and NaN inputs, which `a > b ? a : b` and
+/// `std::max(v, 0.0)` do not.
 
 #include "simd/simd.h"
 
 namespace tpf::simd {
 
 namespace detail {
+/// hi = a > b ? a : b, lo = a > b ? b : a (tpf::cmpExchDesc).
 template <typename V>
 inline void cmpExchDesc(V& hi, V& lo) {
-    const V mx = V::max(hi, lo);
-    const V mn = V::min(hi, lo);
-    hi = mx;
-    lo = mn;
+    const auto gt = hi > lo;
+    const V a = hi;
+    hi = V::blend(gt, a, lo);
+    lo = V::blend(gt, lo, a);
+}
+
+/// std::max(v, 0.0), i.e. v < 0 ? 0 : v.
+template <typename V>
+inline V maxZero(V v) {
+    const V zero = V::zero();
+    return V::blend(v < zero, zero, v);
 }
 } // namespace detail
 
@@ -47,10 +59,10 @@ inline void projectToSimplex4Lanes(V& x0, V& x1, V& x2, V& x3) {
     tau = V::blend(u2 - t2 > zero, t2, tau);
     tau = V::blend(u3 - t3 > zero, t3, tau);
 
-    x0 = V::max(x0 - tau, zero);
-    x1 = V::max(x1 - tau, zero);
-    x2 = V::max(x2 - tau, zero);
-    x3 = V::max(x3 - tau, zero);
+    x0 = detail::maxZero(x0 - tau);
+    x1 = detail::maxZero(x1 - tau);
+    x2 = detail::maxZero(x2 - tau);
+    x3 = detail::maxZero(x3 - tau);
 }
 
 } // namespace tpf::simd

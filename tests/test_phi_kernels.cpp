@@ -8,13 +8,17 @@
 ///    per-cell arithmetic exactly, and the bulk shortcut is exact because
 ///    projection pins bulk cells at simplex vertices).
 ///  - SIMD variants: equal to the scalar reference within a tight tolerance
-///    (different association of phase sums / fma contraction).
+///    (different association of the four-phase sums).
+///  - SimdFourCell (the production multi-cell body): byte-identical to
+///    SimdTzStagCut on every dispatch target, block shape and slab.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
+#include <cstring>
 
+#include "core/kernel_dispatch.h"
 #include "core/kernels.h"
 #include "core/regions.h"
 #include "thermo/agalcu.h"
@@ -39,8 +43,9 @@ struct KernelFixture {
     TzCache tz;
 
     std::unique_ptr<SimBlock> makeBlock(Scenario sc, Int3 size = {16, 16, 16},
-                                        std::uint64_t perturbSeed = 0) {
-        auto b = std::make_unique<SimBlock>(size);
+                                        std::uint64_t perturbSeed = 0,
+                                        Layout layout = Layout::fzyx) {
+        auto b = std::make_unique<SimBlock>(size, layout, layout);
         fillScenario(*b, sc, sys, prm.eps);
         if (perturbSeed != 0) {
             // Perturb mu so the driving force and anti-trapping terms are
@@ -254,10 +259,136 @@ TEST(PhiKernel, RegionClassificationOfScenarios) {
     EXPECT_GT(sInt.front, 0);
 }
 
-// --- four-cell vectorization guards -----------------------------------------
-// The active Vec4d backend is a compile-time choice (AVX2 with
-// -march=native/TPF_NATIVE_ARCH, SSE2 otherwise), so running this suite in
-// both build configurations exercises the nx % 4 guard in both backends.
+// --- multi-cell production body: bitwise contract ---------------------------
+// SimdFourCell must reproduce SimdTzStagCut byte for byte (docs/KERNELS.md
+// "Variant contract"): per-lane cellwise arithmetic, per-lane bulk blend,
+// +0.0 carries behind bulk cells, overlapped tail groups, slab re-seeding.
+
+bool sameBytes(const Field<double>& a, const Field<double>& b) {
+    return a.allocSize() == b.allocSize() &&
+           std::memcmp(a.data(), b.data(), a.allocSize() * sizeof(double)) == 0;
+}
+
+/// Restores the dispatch target a test started with (TPF_KERNEL may pin it).
+struct TargetGuard {
+    const KernelTarget* prev = activeKernelTarget();
+    ~TargetGuard() { setKernelTarget(prev->name); }
+};
+
+/// Runs SimdTzStagCut and SimdFourCell on identical blocks and reports
+/// whether phiDst matches byte for byte.
+bool fourCellMatchesCellwise(KernelFixture& fx, Scenario sc, Int3 size,
+                             int zBegin = 0, int zEnd = -1,
+                             Layout layout = Layout::fzyx) {
+    auto ref = fx.makeBlock(sc, size, 77, layout);
+    auto tst = fx.makeBlock(sc, size, 77, layout);
+    auto c = fx.ctx(*ref);
+    c.zBegin = zBegin;
+    c.zEnd = zEnd;
+    runPhiKernel(PhiKernelKind::SimdTzStagCut, *ref, c);
+    runPhiKernel(PhiKernelKind::SimdFourCell, *tst, c);
+    return sameBytes(ref->phiDst, tst->phiDst);
+}
+
+TEST(PhiMultiCell, SimdFourCellIsBytewiseCellwiseOnEveryTarget) {
+    TargetGuard guard;
+    KernelFixture fx;
+    for (const KernelTarget* t : availableKernelTargets()) {
+        ASSERT_TRUE(setKernelTarget(t->name));
+        for (Scenario sc :
+             {Scenario::Interface, Scenario::Liquid, Scenario::Solid}) {
+            // 16: whole groups at every width; 20 and 12: nx % 8 == 4, an
+            // overlapped tail group under the 8-wide target.
+            for (Int3 size : {Int3{16, 16, 16}, Int3{20, 12, 12},
+                              Int3{12, 8, 16}}) {
+                SCOPED_TRACE(std::string(t->name) + " " + scenarioName(sc) +
+                             " nx=" + std::to_string(size.x));
+                EXPECT_TRUE(fourCellMatchesCellwise(fx, sc, size));
+                // Slab-restricted sweeps re-seed the z-carry at zBegin.
+                EXPECT_TRUE(fourCellMatchesCellwise(fx, sc, size, 5, 11));
+                EXPECT_TRUE(fourCellMatchesCellwise(fx, sc, size, 3, -1));
+            }
+        }
+    }
+}
+
+TEST(PhiMultiCell, SignedZeroAndJunctionStatesAreBytewiseCellwise) {
+    // Half the cells (ghosts included) overwritten with random simplex
+    // vertices whose zero phases carry random signs, and some with random
+    // three- and four-phase mixtures. Here a flux of -0.0 next to a bulk cell
+    // reaches the output, so this pins the +0.0 carry rule and the cyclic
+    // pair order, which the smooth scenarios above cannot tell apart.
+    TargetGuard guard;
+    KernelFixture fx;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        auto make = [&] {
+            auto b = fx.makeBlock(Scenario::Interface, {20, 12, 12}, 77);
+            Random rng(seed);
+            forEachCell(b->phiSrc.withGhosts(), [&](int x, int y, int z) {
+                const double r = rng.uniform(0.0, 1.0);
+                if (r < 0.5) return;
+                const int k = static_cast<int>(rng.uniform(0.0, 4.0)) % N;
+                for (int a = 0; a < N; ++a) {
+                    double v = rng.uniform(0.0, 1.0) < 0.5 ? -0.0 : 0.0;
+                    if (a == k) v = 1.0;
+                    else if (r > 0.9) v = rng.uniform(0.0, 0.3);
+                    b->phiSrc(x, y, z, a) = v;
+                }
+            });
+            return b;
+        };
+        for (const KernelTarget* t : availableKernelTargets()) {
+            ASSERT_TRUE(setKernelTarget(t->name));
+            SCOPED_TRACE(std::string(t->name) + " seed " + std::to_string(seed));
+            auto ref = make();
+            auto tst = make();
+            auto c = fx.ctx(*ref);
+            runPhiKernel(PhiKernelKind::SimdTzStagCut, *ref, c);
+            runPhiKernel(PhiKernelKind::SimdFourCell, *tst, c);
+            EXPECT_TRUE(sameBytes(ref->phiDst, tst->phiDst));
+        }
+    }
+}
+
+TEST(PhiMultiCell, BodyMatchesCellwiseForEveryFlagCombination) {
+    // The body takes the cellwise ladder's Tz/Stag/Cut flags; each
+    // combination must match the cellwise body with the same flags.
+    KernelFixture fx;
+    for (const KernelTarget* t : availableKernelTargets()) {
+        for (int flags = 0; flags < 8; ++flags) {
+            const bool tz = flags & 1, stag = flags & 2, cut = flags & 4;
+            SCOPED_TRACE(std::string(t->name) + " Tz=" + std::to_string(tz) +
+                         " Stag=" + std::to_string(stag) +
+                         " Cut=" + std::to_string(cut));
+            auto ref = fx.makeBlock(Scenario::Interface, {20, 12, 12}, 77);
+            auto tst = fx.makeBlock(Scenario::Interface, {20, 12, 12}, 77);
+            auto c = fx.ctx(*ref);
+            c.zBegin = 2;
+            t->phiCellwise(*ref, c, tz, stag, cut);
+            t->phiMultiCell(*tst, c, tz, stag, cut);
+            EXPECT_TRUE(sameBytes(ref->phiDst, tst->phiDst));
+        }
+    }
+}
+
+TEST(PhiMultiCell, BlocksTheBodyCannotTakeRunTheCellwiseBody) {
+    // nx below the target width (4 and 6 under avx512) and the zyxf layout
+    // fall back to the cellwise Tz+Stag+Cut body; the old fallback asserted
+    // on nx % 4 != 0 and on zyxf.
+    TargetGuard guard;
+    KernelFixture fx;
+    for (const KernelTarget* t : availableKernelTargets()) {
+        ASSERT_TRUE(setKernelTarget(t->name));
+        for (Int3 size : {Int3{4, 8, 8}, Int3{6, 8, 8}}) {
+            SCOPED_TRACE(std::string(t->name) + " nx=" + std::to_string(size.x));
+            EXPECT_TRUE(
+                fourCellMatchesCellwise(fx, Scenario::Interface, size));
+        }
+        SCOPED_TRACE(std::string(t->name) + " zyxf");
+        EXPECT_TRUE(fourCellMatchesCellwise(fx, Scenario::Interface,
+                                            {12, 12, 12}, 0, -1, Layout::zyxf));
+    }
+}
 
 TEST(PhiKernelSimdGuards, MinimalVectorWidthBlockMatchesBasic) {
     // nx = 4 is the narrowest block the four-cell kernel accepts.
@@ -271,15 +402,6 @@ TEST(PhiKernelSimdGuards, MinimalVectorWidthBlockMatchesBasic) {
     runPhiKernel(PhiKernelKind::SimdFourCell, *tst, ctxTst);
 
     EXPECT_LT(maxDiff(ref->phiDst, tst->phiDst), 1e-11);
-}
-
-TEST(PhiKernelSimdGuardsDeathTest, RejectsNxNotDivisibleByFour) {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    KernelFixture fx;
-    auto b = fx.makeBlock(Scenario::Interface, {6, 8, 8}, 77);
-    auto ctx = fx.ctx(*b);
-    EXPECT_DEATH(runPhiKernel(PhiKernelKind::SimdFourCell, *b, ctx),
-                 "divisible by 4");
 }
 
 } // namespace

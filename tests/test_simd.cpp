@@ -9,12 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "simd/simd.h"
+#include "simd/simplex4.h"
 #include "util/alignment.h"
 #include "util/fastmath.h"
 #include "util/random.h"
+#include "util/simplex.h"
 
 namespace tpf::simd {
 namespace {
@@ -354,6 +358,55 @@ TYPED_TEST(SimdWidthTest, RemainderGuard) {
     for (int i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << "cell " << i;
     for (int i = n; i < n + W; ++i)
         EXPECT_EQ(got[i], -777.0) << "tail lane leaked past n at " << i;
+}
+
+TYPED_TEST(SimdWidthTest, SimplexProjectionMatchesScalarBitwise) {
+    // projectToSimplex4Lanes must reproduce tpf::projectToSimplex4 byte for
+    // byte — signed zeros, NaN and infinities included — because the
+    // multi-cell phi kernel is held bitwise equal to the cellwise one that
+    // calls the scalar routine. Every 4-tuple over the special values below
+    // (plus ordinary ones), W tuples per call.
+    constexpr int W = TypeParam::width;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double vals[] = {0.0, -0.0, 1.0, -1.0, 0.25, 0.7, nan, inf, -inf};
+    constexpr int nv = sizeof(vals) / sizeof(vals[0]);
+    constexpr int tuples = nv * nv * nv * nv;
+
+    double in[4][W], want[4][W];
+    int mismatches = 0;
+    for (int t0 = 0; t0 < tuples; t0 += W) {
+        for (int i = 0; i < W; ++i) {
+            int t = (t0 + i) % tuples;
+            for (int c = 0; c < 4; ++c, t /= nv) in[c][i] = vals[t % nv];
+            double x[4] = {in[0][i], in[1][i], in[2][i], in[3][i]};
+            projectToSimplex4(x[0], x[1], x[2], x[3]);
+            for (int c = 0; c < 4; ++c) want[c][i] = x[c];
+        }
+        TypeParam v[4];
+        for (int c = 0; c < 4; ++c) v[c] = TypeParam::loadu(in[c]);
+        projectToSimplex4Lanes(v[0], v[1], v[2], v[3]);
+        for (int c = 0; c < 4; ++c) {
+            double got[W];
+            v[c].storeu(got);
+            if (std::memcmp(got, want[c], sizeof(got)) != 0 && ++mismatches <= 5)
+                ADD_FAILURE() << "tuple " << t0 << " component " << c;
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+
+    // The two cases that max_pd/min_pd get wrong, spelled out.
+    double x[4] = {1.0, -0.0, 0.0, 0.0};
+    auto v0 = TypeParam::broadcast(x[0]), v1 = TypeParam::broadcast(x[1]),
+         v2 = TypeParam::broadcast(x[2]), v3 = TypeParam::broadcast(x[3]);
+    projectToSimplex4(x[0], x[1], x[2], x[3]);
+    projectToSimplex4Lanes(v0, v1, v2, v3);
+    EXPECT_TRUE(std::signbit(x[1]));
+    EXPECT_TRUE(std::signbit(v1.lane(0)));
+    auto n0 = TypeParam::broadcast(nan), z = TypeParam::zero();
+    auto z2 = z, z3 = z;
+    projectToSimplex4Lanes(n0, z, z2, z3);
+    EXPECT_TRUE(std::isnan(n0.lane(0)));
 }
 
 TYPED_TEST(SimdWidthTest, MasksAndReductions) {

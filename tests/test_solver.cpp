@@ -369,13 +369,53 @@ TEST(Solver, KernelChoiceDoesNotChangePhysics) {
     ref.initialize();
     ref.run(30);
 
-    cfg.phiKernel = PhiKernelKind::SimdTzStagCut;
-    cfg.muKernel = MuKernelKind::SimdTzStagCut;
+    cfg.phiKernel = SolverConfig{}.phiKernel;
+    cfg.muKernel = SolverConfig{}.muKernel;
     Solver opt(cfg);
     opt.initialize();
     opt.run(30);
 
     EXPECT_LT(Snapshot::take(ref).maxDiff(Snapshot::take(opt)), 1e-7);
+}
+
+TEST(Solver, MultiCellPhiKernelIsBytewiseCellwiseOnDevelopedJunctions) {
+    // A solidify state with 8-cell grains develops three- and four-phase
+    // junctions within a few dozen steps, where every term of the phi update
+    // is live. The production multi-cell phi body (SimdFourCell) must
+    // reproduce the cellwise SimdTzStagCut byte for byte over the run, phi
+    // and mu (32 cells: four whole 8-wide groups per row). The per-target
+    // sweeps are pinned in tests/test_phi_kernels.cpp.
+    SolverConfig cfg;
+    cfg.globalCells = {32, 32, 32};
+    cfg.model.temp.gradient = 0.5;
+    cfg.model.temp.velocity = 0.02;
+    cfg.model.temp.zEut0 = 20.0;
+    cfg.init.fillHeight = 20;
+    cfg.init.seedsPerArea = 8;
+    cfg.threads = 2;
+    constexpr int kSteps = 40;
+
+    cfg.phiKernel = PhiKernelKind::SimdTzStagCut;
+    Solver ref(cfg);
+    ref.initialize();
+    ref.run(kSteps);
+    const Snapshot want = Snapshot::take(ref);
+
+    long long triple = 0, quadruple = 0;
+    for (std::size_t c = 0; c < want.phi.size(); c += N) {
+        int present = 0;
+        for (int a = 0; a < N; ++a) present += want.phi[c + a] > 1e-3;
+        triple += present >= 3;
+        quadruple += present == 4;
+    }
+    EXPECT_GT(triple, 1000) << "state should hold three-phase junctions";
+    EXPECT_GT(quadruple, 1000) << "state should hold four-phase junctions";
+
+    cfg.phiKernel = PhiKernelKind::SimdFourCell;
+    Solver tst(cfg);
+    tst.initialize();
+    tst.run(kSteps);
+    EXPECT_TRUE(Snapshot::take(tst).bitwiseEqual(want));
 }
 
 } // namespace
