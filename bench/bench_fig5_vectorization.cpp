@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "simd/simd.h"
+#include "core/kernel_dispatch.h"
 
 using namespace tpf;
 using namespace tpf::bench;
@@ -24,7 +24,7 @@ using core::Scenario;
 int main() {
     std::printf("== Figure 5: phi-kernel vectorization strategies "
                 "(60^3 block, one core) ==\n");
-    std::printf("SIMD backend: %s\n\n", tpf::simd::backendName().c_str());
+    std::printf("kernel target: %s\n\n", core::activeKernelTarget()->name);
 
     Table t({"scenario", "cellwise [MLUP/s]", "cellwise+shortcuts [MLUP/s]",
              "multi-cell [MLUP/s]"});

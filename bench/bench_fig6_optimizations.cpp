@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "simd/simd.h"
+#include "core/kernel_dispatch.h"
 
 using namespace tpf;
 using namespace tpf::bench;
@@ -23,7 +23,7 @@ using core::Scenario;
 
 int main() {
     std::printf("== Figure 6: kernel optimization progression (60^3 block) ==\n");
-    std::printf("SIMD backend: %s\n\n", tpf::simd::backendName().c_str());
+    std::printf("kernel target: %s\n\n", core::activeKernelTarget()->name);
 
     const Scenario scenarios[] = {Scenario::Interface, Scenario::Liquid,
                                   Scenario::Solid};

@@ -21,14 +21,12 @@ void runMuSlabs(SimBlock& b, const StepContext& ctx, MuKernelKind muKind,
     if (n <= 0) return;
     if (!pool || pool->threads() == 1 || n == 1) {
         for (int j = lo; j < hi; ++j)
-            runMuKernel(muKind, b, ctx.forSlab(slabs[static_cast<std::size_t>(j)]),
-                        MuSweepPart::Full);
+            runMuKernel(muKind, b, ctx.forSlab(slabs[static_cast<std::size_t>(j)]));
         return;
     }
     pool->parallelFor(n, [&](int i) {
         runMuKernel(muKind, b,
-                    ctx.forSlab(slabs[static_cast<std::size_t>(lo + i)]),
-                    MuSweepPart::Full);
+                    ctx.forSlab(slabs[static_cast<std::size_t>(lo + i)]));
     });
 }
 
@@ -97,21 +95,19 @@ void fusedSweepBoundary(SimBlock& b, const StepContext& ctx,
     const int nSlabs = static_cast<int>(slabs.size());
     if (nSlabs == 0) return;
     if (nSlabs == 1) {
-        runMuKernel(muKind, b, ctx.forSlab(slabs[0]), MuSweepPart::Full);
+        runMuKernel(muKind, b, ctx.forSlab(slabs[0]));
         return;
     }
     if (pool && pool->threads() > 1) {
         const int idx[2] = {0, nSlabs - 1};
         pool->parallelFor(2, [&](int i) {
             runMuKernel(muKind, b,
-                        ctx.forSlab(slabs[static_cast<std::size_t>(idx[i])]),
-                        MuSweepPart::Full);
+                        ctx.forSlab(slabs[static_cast<std::size_t>(idx[i])]));
         });
         return;
     }
-    runMuKernel(muKind, b, ctx.forSlab(slabs[0]), MuSweepPart::Full);
-    runMuKernel(muKind, b, ctx.forSlab(slabs[static_cast<std::size_t>(nSlabs - 1)]),
-                MuSweepPart::Full);
+    runMuKernel(muKind, b, ctx.forSlab(slabs[0]));
+    runMuKernel(muKind, b, ctx.forSlab(slabs[static_cast<std::size_t>(nSlabs - 1)]));
 }
 
 } // namespace tpf::core

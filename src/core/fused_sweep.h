@@ -29,9 +29,8 @@
 /// deferred to fusedSweepBoundary() after that exchange ran. Slab order and
 /// thread count never enter any operand, so fused == split bit for bit.
 ///
-/// Preconditions (asserted by the Solver): no phi communication hiding
-/// (overlapPhi would split the mu sweep a second way) and a single block in
-/// x and y, so the lateral periodic ghosts are a self-wrap.
+/// Precondition (asserted by the Solver): a single block in x and y, so the
+/// lateral periodic ghosts are a self-wrap.
 
 #include <functional>
 

@@ -2,14 +2,14 @@
 /// \file kernel_dispatch.h
 /// Runtime instruction-set dispatch for the vectorized phi/mu sweeps.
 ///
-/// The configure-time simd::Vec4d pick (src/simd/simd.h) bakes one backend
-/// into the binary; reproducing the paper's numbers across machines — and
-/// checking the bitwise-equivalence contract per backend — needs the choice
-/// at *startup* instead. Each KernelTarget is the same kernel bodies
-/// (core/phi_kernel_cellwise_body.h, core/phi_kernel_multicell_body.h,
-/// core/mu_kernel_multicell_body.h) compiled in its own translation unit
-/// (src/core/kernel_targets/) with that ISA's flags and vector types, behind
-/// internal linkage so targets can never collapse into one symbol.
+/// Reproducing the paper's numbers across machines — and checking the
+/// bitwise-equivalence contract per backend — needs the instruction-set
+/// choice at *startup*, not at configure time. Each KernelTarget is the same
+/// kernel bodies (core/phi_kernel_cellwise_body.h,
+/// core/phi_kernel_multicell_body.h, core/mu_kernel_multicell_body.h)
+/// compiled in its own translation unit (src/core/kernel_targets/) with that
+/// ISA's flags and vector types, behind internal linkage so targets can never
+/// collapse into one symbol.
 ///
 /// Selection: widest CPU-supported target by default, overridable with the
 /// TPF_KERNEL environment variable or the --kernel CLI flag (kernel specs
@@ -35,7 +35,7 @@ struct KernelTarget {
     void (*phiMultiCell)(SimBlock&, const StepContext&, bool useTz,
                          bool useStag, bool shortcuts);
     void (*muMultiCell)(SimBlock&, const StepContext&, bool useTz, bool useStag,
-                        bool shortcuts, MuSweepPart part);
+                        bool shortcuts);
 };
 
 // Per-ISA accessors; nullptr when the compiler could not build the target

@@ -8,10 +8,10 @@ namespace {
 
 /// Vectorized sweeps go through the runtime-selected instruction-set target
 /// (core/kernel_dispatch.h). The cellwise phi body is always 4-wide; the
-/// multi-cell bodies need nx >= target width. Narrower mu blocks take the
-/// compile-time Vec4d entry point, and phi blocks the multi-cell body cannot
-/// take run the cellwise body, which it matches bitwise (the targets only
-/// differ in instruction encoding, never in arithmetic).
+/// multi-cell bodies need nx >= target width. Narrower mu blocks run the
+/// 4-wide scalar target's multi-cell body, and phi blocks the multi-cell body
+/// cannot take run the cellwise body, which it matches bitwise (the targets
+/// only differ in instruction encoding, never in arithmetic).
 void dispatchPhiCellwise(SimBlock& b, const StepContext& ctx, bool useTz,
                          bool useStag, bool shortcuts) {
     activeKernelTarget()->phiCellwise(b, ctx, useTz, useStag, shortcuts);
@@ -27,12 +27,10 @@ void dispatchPhiMultiCell(SimBlock& b, const StepContext& ctx) {
 }
 
 void dispatchMuMultiCell(SimBlock& b, const StepContext& ctx, bool useTz,
-                         bool useStag, bool shortcuts, MuSweepPart part) {
+                         bool useStag, bool shortcuts) {
     const KernelTarget* t = activeKernelTarget();
-    if (b.size.x >= t->width)
-        t->muMultiCell(b, ctx, useTz, useStag, shortcuts, part);
-    else
-        muSweepSimdFourCell(b, ctx, useTz, useStag, shortcuts, part);
+    if (b.size.x < t->width) t = kernelTargetScalar();
+    t->muMultiCell(b, ctx, useTz, useStag, shortcuts);
 }
 
 } // namespace
@@ -64,32 +62,27 @@ void runPhiKernel(PhiKernelKind k, SimBlock& b, const StepContext& ctx) {
     TPF_ASSERT(false, "unknown phi kernel kind");
 }
 
-void runMuKernel(MuKernelKind k, SimBlock& b, const StepContext& ctx,
-                 MuSweepPart part) {
+void runMuKernel(MuKernelKind k, SimBlock& b, const StepContext& ctx) {
     switch (k) {
-        case MuKernelKind::General:
-            TPF_ASSERT(part == MuSweepPart::Full,
-                       "General mu kernel supports only full sweeps");
-            muSweepGeneral(b, ctx);
-            return;
-        case MuKernelKind::Basic: muSweepBasic(b, ctx, part); return;
+        case MuKernelKind::General: muSweepGeneral(b, ctx); return;
+        case MuKernelKind::Basic: muSweepBasic(b, ctx); return;
         case MuKernelKind::ScalarTzStag:
-            muSweepScalarOpt(b, ctx, /*shortcuts=*/false, part);
+            muSweepScalarOpt(b, ctx, /*shortcuts=*/false);
             return;
         case MuKernelKind::ScalarTzStagCut:
-            muSweepScalarOpt(b, ctx, /*shortcuts=*/true, part);
+            muSweepScalarOpt(b, ctx, /*shortcuts=*/true);
             return;
         case MuKernelKind::Simd:
-            dispatchMuMultiCell(b, ctx, false, false, false, part);
+            dispatchMuMultiCell(b, ctx, false, false, false);
             return;
         case MuKernelKind::SimdTz:
-            dispatchMuMultiCell(b, ctx, true, false, false, part);
+            dispatchMuMultiCell(b, ctx, true, false, false);
             return;
         case MuKernelKind::SimdTzStag:
-            dispatchMuMultiCell(b, ctx, true, true, false, part);
+            dispatchMuMultiCell(b, ctx, true, true, false);
             return;
         case MuKernelKind::SimdTzStagCut:
-            dispatchMuMultiCell(b, ctx, true, true, true, part);
+            dispatchMuMultiCell(b, ctx, true, true, true);
             return;
     }
     TPF_ASSERT(false, "unknown mu kernel kind");

@@ -22,7 +22,8 @@
 ///  it cannot take (nx below the target width, zyxf layout) run the cellwise
 ///  SimdTzStagCut body instead. mu kernels mirror the same stages with
 ///  multi-cell vectorization (the only viable strategy for the mu-sweep, as
-///  in the paper).
+///  in the paper); mu blocks narrower than the target width run the 4-wide
+///  scalar target's body.
 ///
 /// All variants are checked for equivalence by tests/test_phi_kernels.cpp and
 /// tests/test_mu_kernels.cpp (docs/KERNELS.md "Variant contract").
@@ -67,12 +68,6 @@ enum class MuKernelKind {
 /// exists — see core/fused_sweep.h and docs/KERNELS.md "Fused sweep").
 enum class SweepSchedule { Split, Fused };
 
-/// Which part of the mu-sweep to execute — the split that enables phi
-/// communication hiding (Algorithm 2): the "local" part is everything except
-/// the anti-trapping divergence (only cell-local phi_dst dependencies); the
-/// "neighbor" part subtracts div J_at once the phi_dst ghosts arrived.
-enum class MuSweepPart { Full, LocalOnly, NeighborOnly };
-
 /// Per-step, per-block inputs of a kernel invocation.
 struct StepContext {
     ModelConsts mc;
@@ -107,8 +102,7 @@ struct StepContext {
 };
 
 void runPhiKernel(PhiKernelKind k, SimBlock& b, const StepContext& ctx);
-void runMuKernel(MuKernelKind k, SimBlock& b, const StepContext& ctx,
-                 MuSweepPart part = MuSweepPart::Full);
+void runMuKernel(MuKernelKind k, SimBlock& b, const StepContext& ctx);
 
 std::string kernelName(PhiKernelKind k);
 std::string kernelName(MuKernelKind k);
@@ -128,10 +122,7 @@ void phiSweepBasic(SimBlock& b, const StepContext& ctx);
 void phiSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts);
 
 void muSweepGeneral(SimBlock& b, const StepContext& ctx);
-void muSweepBasic(SimBlock& b, const StepContext& ctx, MuSweepPart part);
-void muSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts,
-                      MuSweepPart part);
-void muSweepSimdFourCell(SimBlock& b, const StepContext& ctx, bool useTz,
-                         bool useStag, bool shortcuts, MuSweepPart part);
+void muSweepBasic(SimBlock& b, const StepContext& ctx);
+void muSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts);
 
 } // namespace tpf::core

@@ -44,18 +44,16 @@ inline FaceGradients muFaceGradients(const ModelConsts& mc,
 
 /// Flux (M grad mu - J_at) . n at the face between cell L = (xL,yL,zL) and
 /// its upper neighbor along \p axis.
-/// \param includeGrad include the M grad mu part (off in NeighborOnly sweeps)
-/// \param includeAt   include the anti-trapping part (off in LocalOnly sweeps)
-/// \param shortcut    apply the exact face-level J_at skip: a face whose two
-///                    cells are both pure liquid or both liquid-free carries
-///                    no anti-trapping flux (this check is what the paper
-///                    describes as testing "critical subexpressions for
-///                    zeros" before evaluating the expensive J_at).
+/// \param shortcut apply the exact face-level J_at skip: a face whose two
+///                 cells are both pure liquid or both liquid-free carries
+///                 no anti-trapping flux (this check is what the paper
+///                 describes as testing "critical subexpressions for zeros"
+///                 before evaluating the expensive J_at).
 inline void muFaceFluxAt(const ModelConsts& mc, const Field<double>& P,
                          const Field<double>& Pd, const Field<double>& Mu,
                          const SliceThermo& stL, const SliceThermo& stR,
-                         int axis, int xL, int yL, int zL, bool includeGrad,
-                         bool includeAt, bool shortcut, double& Fx, double& Fy) {
+                         int axis, int xL, int yL, int zL, bool shortcut,
+                         double& Fx, double& Fy) {
     const int ex[3] = {1, 0, 0};
     const int ey[3] = {0, 1, 0};
     const int ez[3] = {0, 0, 1};
@@ -68,11 +66,9 @@ inline void muFaceFluxAt(const ModelConsts& mc, const Field<double>& P,
     const double muLx = Mu(xL, yL, zL, 0), muLy = Mu(xL, yL, zL, 1);
     const double muRx = Mu(xR, yR, zR, 0), muRy = Mu(xR, yR, zR, 1);
 
-    Fx = 0.0;
-    Fy = 0.0;
-    if (includeGrad) muGradFlux(mc, pL, pR, muLx, muLy, muRx, muRy, Fx, Fy);
+    muGradFlux(mc, pL, pR, muLx, muLy, muRx, muRy, Fx, Fy);
 
-    if (includeAt && mc.antitrapping) {
+    if (mc.antitrapping) {
         if (shortcut) {
             const double ll = pL[LIQ], lr = pR[LIQ];
             if ((ll == 0.0 && lr == 0.0) || (ll == 1.0 && lr == 1.0)) return;
@@ -94,7 +90,7 @@ inline void muFaceFluxAt(const ModelConsts& mc, const Field<double>& P,
 }
 
 /// Cell-local part of the mu update shared by all scalar variants: sources,
-/// susceptibility solve, explicit Euler step / accumulation.
+/// susceptibility solve, explicit Euler step.
 ///
 /// The susceptibility and the dc/dT source use the *new* interpolation
 /// weights h(phi_dst). With c linear in mu this makes the discrete update
@@ -107,48 +103,37 @@ inline void muFaceFluxAt(const ModelConsts& mc, const Field<double>& P,
 inline void muCellFinish(const ModelConsts& mc, const SliceThermo& stC,
                          const Field<double>& P, const Field<double>& Pd,
                          const Field<double>& Mu, Field<double>& Dst, int x,
-                         int y, int z, double divX, double divY,
-                         bool applyOnDst) {
+                         int y, int z, double divX, double divY) {
     double pD[N], hD[N];
     loadPhiCell(Pd, x, y, z, pD);
     moelansWeights(pD, hD);
 
-    double rhsX = divX, rhsY = divY;
-    if (!applyOnDst) {
-        double pC[N], hS[N];
-        loadPhiCell(P, x, y, z, pC);
-        moelansWeights(pC, hS);
+    double pC[N], hS[N];
+    loadPhiCell(P, x, y, z, pC);
+    moelansWeights(pC, hS);
 
-        const double mux = Mu(x, y, z, 0), muy = Mu(x, y, z, 1);
-        double src1X = 0.0, src1Y = 0.0, src2X = 0.0, src2Y = 0.0;
-        for (int a = 0; a < N; ++a) {
-            const double cax = stC.xix[a] + mc.kinvA[a] * mux + mc.kinvB[a] * muy;
-            const double cay = stC.xiy[a] + mc.kinvB[a] * mux + mc.kinvD[a] * muy;
-            const double dh = (hD[a] - hS[a]) * mc.invDt;
-            src1X -= cax * dh;
-            src1Y -= cay * dh;
-            src2X -= hD[a] * mc.dxidTx[a] * mc.dTdt;
-            src2Y -= hD[a] * mc.dxidTy[a] * mc.dTdt;
-        }
-        rhsX += src1X + src2X;
-        rhsY += src1Y + src2Y;
+    const double mux = Mu(x, y, z, 0), muy = Mu(x, y, z, 1);
+    double src1X = 0.0, src1Y = 0.0, src2X = 0.0, src2Y = 0.0;
+    for (int a = 0; a < N; ++a) {
+        const double cax = stC.xix[a] + mc.kinvA[a] * mux + mc.kinvB[a] * muy;
+        const double cay = stC.xiy[a] + mc.kinvB[a] * mux + mc.kinvD[a] * muy;
+        const double dh = (hD[a] - hS[a]) * mc.invDt;
+        src1X -= cax * dh;
+        src1Y -= cay * dh;
+        src2X -= hD[a] * mc.dxidTx[a] * mc.dTdt;
+        src2Y -= hD[a] * mc.dxidTy[a] * mc.dTdt;
     }
+    const double rhsX = divX + (src1X + src2X);
+    const double rhsY = divY + (src1Y + src2Y);
 
     double chiA, chiB, chiD;
     susceptibilityAt(mc, hD, chiA, chiB, chiD);
 
-    if (!applyOnDst) {
-        double outX, outY;
-        muUpdateCell(mc, chiA, chiB, chiD, rhsX, rhsY, Mu(x, y, z, 0),
-                     Mu(x, y, z, 1), outX, outY);
-        Dst(x, y, z, 0) = outX;
-        Dst(x, y, z, 1) = outY;
-    } else {
-        double addX, addY;
-        muUpdateCell(mc, chiA, chiB, chiD, rhsX, rhsY, 0.0, 0.0, addX, addY);
-        Dst(x, y, z, 0) += addX;
-        Dst(x, y, z, 1) += addY;
-    }
+    double outX, outY;
+    muUpdateCell(mc, chiA, chiB, chiD, rhsX, rhsY, Mu(x, y, z, 0),
+                 Mu(x, y, z, 1), outX, outY);
+    Dst(x, y, z, 0) = outX;
+    Dst(x, y, z, 1) = outY;
 }
 
 } // namespace tpf::core

@@ -12,18 +12,13 @@
 
 namespace tpf::core {
 
-void muSweepScalarOpt(SimBlock& blk, const StepContext& ctx, bool shortcuts,
-                      MuSweepPart part) {
+void muSweepScalarOpt(SimBlock& blk, const StepContext& ctx, bool shortcuts) {
     const ModelConsts& mc = ctx.mc;
     TPF_ASSERT(ctx.tz != nullptr, "ScalarOpt mu kernel requires a TzCache");
     const Field<double>& P = blk.phiSrc;
     const Field<double>& Pd = blk.phiDst;
     const Field<double>& Mu = blk.muSrc;
     Field<double>& Dst = blk.muDst;
-
-    const bool applyOnDst = part == MuSweepPart::NeighborOnly;
-    const bool gr = part != MuSweepPart::NeighborOnly;
-    const bool at = part != MuSweepPart::LocalOnly;
 
     const int nx = blk.size.x, ny = blk.size.y, nz = blk.size.z;
     const int z0 = ctx.zLo(), z1 = ctx.zHi(nz);
@@ -46,26 +41,26 @@ void muSweepScalarOpt(SimBlock& blk, const StepContext& ctx, bool shortcuts,
                     fzmY, fzpX, fzpY;
 
                 if (x == 0)
-                    muFaceFluxAt(mc, P, Pd, Mu, stC, stC, 0, x - 1, y, z, gr, at,
+                    muFaceFluxAt(mc, P, Pd, Mu, stC, stC, 0, x - 1, y, z,
                                  shortcuts, fxmX, fxmY);
                 else {
                     fxmX = carryX[0];
                     fxmY = carryX[1];
                 }
-                muFaceFluxAt(mc, P, Pd, Mu, stC, stC, 0, x, y, z, gr, at,
+                muFaceFluxAt(mc, P, Pd, Mu, stC, stC, 0, x, y, z,
                              shortcuts, fxpX, fxpY);
                 carryX[0] = fxpX;
                 carryX[1] = fxpY;
 
                 double* ry = rowY.data() + static_cast<std::size_t>(x) * KC;
                 if (y == 0)
-                    muFaceFluxAt(mc, P, Pd, Mu, stC, stC, 1, x, y - 1, z, gr, at,
+                    muFaceFluxAt(mc, P, Pd, Mu, stC, stC, 1, x, y - 1, z,
                                  shortcuts, fymX, fymY);
                 else {
                     fymX = ry[0];
                     fymY = ry[1];
                 }
-                muFaceFluxAt(mc, P, Pd, Mu, stC, stC, 1, x, y, z, gr, at,
+                muFaceFluxAt(mc, P, Pd, Mu, stC, stC, 1, x, y, z,
                              shortcuts, fypX, fypY);
                 ry[0] = fypX;
                 ry[1] = fypY;
@@ -73,13 +68,13 @@ void muSweepScalarOpt(SimBlock& blk, const StepContext& ctx, bool shortcuts,
                 double* pz =
                     planeZ.data() + (static_cast<std::size_t>(y) * nx + x) * KC;
                 if (z == z0)
-                    muFaceFluxAt(mc, P, Pd, Mu, stM, stC, 2, x, y, z - 1, gr, at,
+                    muFaceFluxAt(mc, P, Pd, Mu, stM, stC, 2, x, y, z - 1,
                                  shortcuts, fzmX, fzmY);
                 else {
                     fzmX = pz[0];
                     fzmY = pz[1];
                 }
-                muFaceFluxAt(mc, P, Pd, Mu, stC, stP, 2, x, y, z, gr, at,
+                muFaceFluxAt(mc, P, Pd, Mu, stC, stP, 2, x, y, z,
                              shortcuts, fzpX, fzpY);
                 pz[0] = fzpX;
                 pz[1] = fzpY;
@@ -89,8 +84,7 @@ void muSweepScalarOpt(SimBlock& blk, const StepContext& ctx, bool shortcuts,
                 const double divY =
                     (((fxpY - fxmY) + (fypY - fymY)) + (fzpY - fzmY)) * mc.invDx;
 
-                muCellFinish(mc, stC, P, Pd, Mu, Dst, x, y, z, divX, divY,
-                             applyOnDst);
+                muCellFinish(mc, stC, P, Pd, Mu, Dst, x, y, z, divX, divY);
             }
         }
     }

@@ -1,9 +1,6 @@
 /// \file mu_kernel_ref.cpp
 /// Reference mu-sweep implementations (General: function-pointer dispatch per
-/// cell; Basic: direct calls). The Basic variant also implements the
-/// local/neighbor split used for phi communication hiding (Algorithm 2):
-///   LocalOnly    = gradient flux + source terms (no phi_dst neighbors),
-///   NeighborOnly = subtract div J_at afterwards.
+/// cell; Basic: direct calls).
 
 #include "core/kernels.h"
 #include "core/mu_face.h"
@@ -33,16 +30,15 @@ struct SliceProvider {
 using MuFaceFluxFn = void (*)(const ModelConsts&, const Field<double>&,
                               const Field<double>&, const Field<double>&,
                               const SliceThermo&, const SliceThermo&, int, int,
-                              int, int, bool, bool, bool, double&, double&);
+                              int, int, bool, double&, double&);
 
 /// Direct (inlinable) face-flux dispatch.
 struct DirectMuOps {
     static void face(const ModelConsts& mc, const Field<double>& P,
                      const Field<double>& Pd, const Field<double>& Mu,
                      const SliceThermo& stL, const SliceThermo& stR, int axis,
-                     int xL, int yL, int zL, bool gr, bool at, double& Fx,
-                     double& Fy) {
-        muFaceFluxAt(mc, P, Pd, Mu, stL, stR, axis, xL, yL, zL, gr, at,
+                     int xL, int yL, int zL, double& Fx, double& Fy) {
+        muFaceFluxAt(mc, P, Pd, Mu, stL, stR, axis, xL, yL, zL,
                      /*shortcut=*/false, Fx, Fy);
     }
 };
@@ -50,9 +46,8 @@ struct DirectMuOps {
 void generalMuFace(const ModelConsts& mc, const Field<double>& P,
                    const Field<double>& Pd, const Field<double>& Mu,
                    const SliceThermo& stL, const SliceThermo& stR, int axis,
-                   int xL, int yL, int zL, bool gr, bool at, bool sc, double& Fx,
-                   double& Fy) {
-    muFaceFluxAt(mc, P, Pd, Mu, stL, stR, axis, xL, yL, zL, gr, at, sc, Fx, Fy);
+                   int xL, int yL, int zL, bool sc, double& Fx, double& Fy) {
+    muFaceFluxAt(mc, P, Pd, Mu, stL, stR, axis, xL, yL, zL, sc, Fx, Fy);
 }
 
 volatile bool gMuOpsInitialized = false;
@@ -64,20 +59,17 @@ struct GeneralMuOps {
     static void face(const ModelConsts& mc, const Field<double>& P,
                      const Field<double>& Pd, const Field<double>& Mu,
                      const SliceThermo& stL, const SliceThermo& stR, int axis,
-                     int xL, int yL, int zL, bool gr, bool at, double& Fx,
-                     double& Fy) {
+                     int xL, int yL, int zL, double& Fx, double& Fy) {
         if (!gMuOpsInitialized) {
             gMuFace = &generalMuFace;
             gMuOpsInitialized = true;
         }
-        gMuFace(mc, P, Pd, Mu, stL, stR, axis, xL, yL, zL, gr, at, false, Fx,
-                Fy);
+        gMuFace(mc, P, Pd, Mu, stL, stR, axis, xL, yL, zL, false, Fx, Fy);
     }
 };
 
 template <typename Ops>
-void muSweepImpl(SimBlock& blk, const StepContext& ctx, bool useCache,
-                 MuSweepPart part) {
+void muSweepImpl(SimBlock& blk, const StepContext& ctx, bool useCache) {
     const ModelConsts& mc = ctx.mc;
     const Field<double>& P = blk.phiSrc;
     const Field<double>& Pd = blk.phiDst;
@@ -85,40 +77,28 @@ void muSweepImpl(SimBlock& blk, const StepContext& ctx, bool useCache,
     Field<double>& Dst = blk.muDst;
     const SliceProvider sp{ctx, blk, useCache};
 
-    const bool applyOnDst = part == MuSweepPart::NeighborOnly;
-    const bool gr = part != MuSweepPart::NeighborOnly;
-    const bool at = part != MuSweepPart::LocalOnly;
-
     for (int z = ctx.zLo(); z < ctx.zHi(blk.size.z); ++z) {
         const SliceThermo stM = sp.at(z - 1);
         const SliceThermo stC = sp.at(z);
         const SliceThermo stP = sp.at(z + 1);
         for (int y = 0; y < blk.size.y; ++y) {
             for (int x = 0; x < blk.size.x; ++x) {
-                // Six staggered face fluxes (lower cell listed first). In
-                // NeighborOnly mode each flux is just -J_at.
+                // Six staggered face fluxes (lower cell listed first).
                 double fxmX, fxmY, fxpX, fxpY, fymX, fymY, fypX, fypY, fzmX,
                     fzmY, fzpX, fzpY;
-                Ops::face(mc, P, Pd, Mu, stC, stC, 0, x - 1, y, z, gr, at, fxmX,
-                          fxmY);
-                Ops::face(mc, P, Pd, Mu, stC, stC, 0, x, y, z, gr, at, fxpX,
-                          fxpY);
-                Ops::face(mc, P, Pd, Mu, stC, stC, 1, x, y - 1, z, gr, at, fymX,
-                          fymY);
-                Ops::face(mc, P, Pd, Mu, stC, stC, 1, x, y, z, gr, at, fypX,
-                          fypY);
-                Ops::face(mc, P, Pd, Mu, stM, stC, 2, x, y, z - 1, gr, at, fzmX,
-                          fzmY);
-                Ops::face(mc, P, Pd, Mu, stC, stP, 2, x, y, z, gr, at, fzpX,
-                          fzpY);
+                Ops::face(mc, P, Pd, Mu, stC, stC, 0, x - 1, y, z, fxmX, fxmY);
+                Ops::face(mc, P, Pd, Mu, stC, stC, 0, x, y, z, fxpX, fxpY);
+                Ops::face(mc, P, Pd, Mu, stC, stC, 1, x, y - 1, z, fymX, fymY);
+                Ops::face(mc, P, Pd, Mu, stC, stC, 1, x, y, z, fypX, fypY);
+                Ops::face(mc, P, Pd, Mu, stM, stC, 2, x, y, z - 1, fzmX, fzmY);
+                Ops::face(mc, P, Pd, Mu, stC, stP, 2, x, y, z, fzpX, fzpY);
 
                 const double divX =
                     (((fxpX - fxmX) + (fypX - fymX)) + (fzpX - fzmX)) * mc.invDx;
                 const double divY =
                     (((fxpY - fxmY) + (fypY - fymY)) + (fzpY - fzmY)) * mc.invDx;
 
-                muCellFinish(mc, stC, P, Pd, Mu, Dst, x, y, z, divX, divY,
-                             applyOnDst);
+                muCellFinish(mc, stC, P, Pd, Mu, Dst, x, y, z, divX, divY);
             }
         }
     }
@@ -127,11 +107,11 @@ void muSweepImpl(SimBlock& blk, const StepContext& ctx, bool useCache,
 } // namespace
 
 void muSweepGeneral(SimBlock& blk, const StepContext& ctx) {
-    muSweepImpl<GeneralMuOps>(blk, ctx, /*useCache=*/false, MuSweepPart::Full);
+    muSweepImpl<GeneralMuOps>(blk, ctx, /*useCache=*/false);
 }
 
-void muSweepBasic(SimBlock& blk, const StepContext& ctx, MuSweepPart part) {
-    muSweepImpl<DirectMuOps>(blk, ctx, /*useCache=*/false, part);
+void muSweepBasic(SimBlock& blk, const StepContext& ctx) {
+    muSweepImpl<DirectMuOps>(blk, ctx, /*useCache=*/false);
 }
 
 } // namespace tpf::core

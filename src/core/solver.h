@@ -3,7 +3,7 @@
 /// The directional-solidification solver: owns the block forest, per-block
 /// fields, ghost-exchange schemes, boundary conditions, temperature, moving
 /// window and time loop, and executes the paper's Algorithm 1 (plain) or
-/// Algorithm 2 (communication hiding).
+/// Algorithm 2 with mu communication hiding only (the paper's best variant).
 ///
 /// Boundary setup (paper Figure 2): periodic in x and y, Neumann at the
 /// bottom (solid), Dirichlet at the top (fresh melt at the eutectic chemical
@@ -45,13 +45,12 @@ struct SolverConfig {
     /// Split: phi sweep, phi exchange, mu sweep (Algorithm 1/2). Fused: the
     /// phi and mu sweeps interleave over the z-slab partition so fresh phi is
     /// consumed while cache-resident (core/fused_sweep.h). Bitwise identical
-    /// to Split; requires overlapPhi == false and a single block in x and y.
+    /// to Split; requires a single block in x and y.
     SweepSchedule schedule = SweepSchedule::Split;
 
-    /// Communication hiding (Algorithm 2). The paper's best configuration is
-    /// mu-overlap only: hiding the phi communication requires the split
-    /// mu-sweep whose overhead exceeds the gain.
-    bool overlapPhi = false;
+    /// Communication hiding of the mu exchange (Algorithm 2). The phi
+    /// exchange is always blocking: hiding it needs a split mu-sweep whose
+    /// overhead exceeds the gain (paper Fig. 8; measured in docs/TRANSPORT.md).
     bool overlapMu = false;
 
     /// Intra-rank threads for the kernel/boundary/window sweeps (hybrid
@@ -71,7 +70,7 @@ public:
     /// Voronoi fill, initial communication and boundary handling.
     void initialize();
 
-    /// One time step (Algorithm 1 or 2 depending on the overlap flags).
+    /// One time step (Algorithm 1, or Algorithm 2 when overlapMu is set).
     void step();
     void run(int steps);
 
@@ -136,7 +135,7 @@ private:
     StepContext makeContext(std::size_t blockSlot) const;
     /// Slab-parallel phi/mu sweep of one block (serial when pool_ is null).
     void sweepPhi(std::size_t blockSlot, SimBlock& b);
-    void sweepMu(std::size_t blockSlot, SimBlock& b, MuSweepPart part);
+    void sweepMu(std::size_t blockSlot, SimBlock& b);
     /// Once-per-step muSrc ghost preparation of the fused schedule: waits for
     /// the overlapMu exchange and applies the mu boundaries before the first
     /// mu slab (wherever in the pipeline that happens to be). Idempotent;

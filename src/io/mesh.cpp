@@ -238,20 +238,6 @@ bool TriMesh::isClosed() const {
     return true;
 }
 
-std::vector<char> TriMesh::openBoundaryVertices() const {
-    std::vector<char> flags(vertices.size(), 0);
-    const std::vector<EdgeUse> uses = sortedEdgeUses(*this);
-    for (std::size_t i = 0; i < uses.size(); ++i) {
-        const bool single =
-            (i == 0 || uses[i - 1].key != uses[i].key) &&
-            (i + 1 == uses.size() || uses[i + 1].key != uses[i].key);
-        if (!single) continue;
-        flags[static_cast<std::size_t>(uses[i].key >> 32)] = 1;
-        flags[static_cast<std::size_t>(uses[i].key & 0xffffffffULL)] = 1;
-    }
-    return flags;
-}
-
 std::pair<Vec3, Vec3> TriMesh::boundingBox() const {
     Vec3 lo{1e300, 1e300, 1e300}, hi{-1e300, -1e300, -1e300};
     for (const Vec3& v : vertices) {

@@ -41,11 +41,6 @@ struct TriMesh {
     /// True if every edge is shared by exactly two triangles (watertight).
     bool isClosed() const;
 
-    /// Flags (per vertex) marking vertices on open-boundary edges (edges used
-    /// by exactly one triangle) — the borders that later stitching steps must
-    /// find intact.
-    std::vector<char> openBoundaryVertices() const;
-
     /// Approximate storage footprint (used by the I/O reduction benchmark).
     std::size_t memoryBytes() const {
         return vertices.size() * sizeof(Vec3) +

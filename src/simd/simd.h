@@ -3,8 +3,10 @@
 /// Backend selection for the 4-wide double SIMD abstraction (the counterpart
 /// of the paper's portable intrinsics API covering SSE2/SSE4/AVX/AVX2/QPX).
 /// Here: AVX2 when available at compile time, portable scalar otherwise.
-/// tpf::simd::Vec4d is the type the kernels use; both backends stay available
-/// for the cross-backend unit tests.
+/// No kernel uses the tpf::simd::Vec4d alias: the sweeps run through the
+/// runtime-dispatched targets of core/kernel_dispatch.h. Only the roofline
+/// probe (perf/roofline.cpp) and bench_kernels_micro still use it; all
+/// backends stay available for the cross-backend unit tests.
 
 #include <string>
 

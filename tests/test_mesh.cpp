@@ -416,14 +416,11 @@ TEST(Mesh, SortedEdgeQueriesOnOpenAndClosedSurfaces) {
     closed.triangles = {{0, 2, 1}, {0, 1, 3}, {1, 2, 3}, {0, 3, 2}};
     EXPECT_TRUE(closed.isClosed());
     EXPECT_EQ(closed.eulerCharacteristic(), 2);
-    EXPECT_EQ(closed.openBoundaryVertices(),
-              (std::vector<char>{0, 0, 0, 0, 0}));
 
     TriMesh open = closed;
     open.triangles.erase(open.triangles.begin() + 2); // drop {1, 2, 3}
     EXPECT_FALSE(open.isClosed());
     EXPECT_EQ(open.eulerCharacteristic(), 1); // a disc
-    EXPECT_EQ(open.openBoundaryVertices(), (std::vector<char>{0, 1, 1, 1, 0}));
 
     // Uses come sorted by (key, slot): one run per edge, first occurrence
     // (smallest face * 3 + e) first.

@@ -1,13 +1,15 @@
 /// Kernel equivalence + invariant tests for the mu-sweep, including the
-/// local/neighbor split used for communication hiding and the exact
-/// conservation property of the grand-potential formulation.
+/// exact conservation property of the grand-potential formulation and the
+/// per-target bitwise contract of the multi-cell body.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
+#include <cstring>
 
 #include "comm/exchange.h"
+#include "core/kernel_dispatch.h"
 #include "core/kernels.h"
 #include "core/regions.h"
 #include "thermo/agalcu.h"
@@ -96,33 +98,6 @@ INSTANTIATE_TEST_SUITE_P(
         return testSafe(kernelName(std::get<0>(pinfo.param))) + "_" +
                scenarioName(std::get<1>(pinfo.param));
     });
-
-class MuSplitTest : public ::testing::TestWithParam<MuKernelKind> {};
-
-TEST_P(MuSplitTest, LocalPlusNeighborMatchesFullSweep) {
-    // The Algorithm-2 split (local part, then -div J_at) must match the fused
-    // sweep to rounding accuracy (the paper interleaves them with
-    // communication; the physics is identical).
-    MuFixture fx;
-    auto full = fx.makeBlock(Scenario::Interface);
-    auto split = fx.makeBlock(Scenario::Interface);
-
-    auto cf = fx.ctx(*full);
-    runMuKernel(GetParam(), *full, cf, MuSweepPart::Full);
-    auto cs = fx.ctx(*split);
-    runMuKernel(GetParam(), *split, cs, MuSweepPart::LocalOnly);
-    runMuKernel(GetParam(), *split, cs, MuSweepPart::NeighborOnly);
-
-    EXPECT_LT(full->muDst.maxAbsDiff(split->muDst), 1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(SplittableKernels, MuSplitTest,
-                         ::testing::Values(MuKernelKind::Basic,
-                                           MuKernelKind::ScalarTzStag,
-                                           MuKernelKind::ScalarTzStagCut,
-                                           MuKernelKind::SimdTzStag,
-                                           MuKernelKind::SimdTzStagCut),
-                         [](const auto& pinfo) { return testSafe(kernelName(pinfo.param)); });
 
 TEST(MuKernel, AntiTrappingChangesInterfaceResult) {
     // Sanity: J_at must actually contribute at a moving front.
@@ -269,13 +244,14 @@ TEST(MuKernel, PureDiffusionRelaxesPerturbation) {
     EXPECT_LT(d1, 0.5 * d0) << "diffusion must damp the perturbation";
 }
 
-// --- four-cell vectorization guards -----------------------------------------
-// The active Vec4d backend is a compile-time choice (AVX2 with
-// -march=native/TPF_NATIVE_ARCH, SSE2 otherwise), so running this suite in
-// both build configurations exercises the nx % 4 guard in both backends.
+// --- multi-cell vectorization guards ----------------------------------------
+// The vectorized mu kinds run the multi-cell body of the runtime-selected
+// target (core/kernel_dispatch.h). Blocks narrower than the target width run
+// the 4-wide scalar target instead, so nx % 4 == 0 is the only shape limit.
 
 TEST(MuKernelSimdGuards, MinimalVectorWidthBlockMatchesBasic) {
-    // nx = 4 is the narrowest block the four-cell kernel accepts.
+    // nx = 4 is the narrowest block the multi-cell body accepts (one group
+    // of the 4-wide targets; the scalar fallback under avx512).
     MuFixture fx;
     auto ref = fx.makeBlock(Scenario::Interface, 77, {4, 8, 8});
     auto tst = fx.makeBlock(Scenario::Interface, 77, {4, 8, 8});
@@ -287,6 +263,35 @@ TEST(MuKernelSimdGuards, MinimalVectorWidthBlockMatchesBasic) {
     runMuKernel(MuKernelKind::SimdTzStagCut, *tst, ct);
 
     EXPECT_LT(ref->muDst.maxAbsDiff(tst->muDst), 1e-11);
+}
+
+/// Restores the dispatch target a test started with (TPF_KERNEL may pin it).
+struct TargetGuard {
+    const KernelTarget* prev = activeKernelTarget();
+    ~TargetGuard() { setKernelTarget(prev->name); }
+};
+
+TEST(MuKernelSimdGuards, EveryTargetMatchesScalarBytewiseOnNarrowBlocks) {
+    // nx = 4 takes the scalar fallback under avx512; nx = 12 runs an
+    // overlapped 8-wide tail group there and whole 4-wide groups elsewhere.
+    TargetGuard guard;
+    MuFixture fx;
+    for (const Int3 size : {Int3{4, 8, 8}, Int3{12, 8, 8}}) {
+        auto ref = fx.makeBlock(Scenario::Interface, 77, size);
+        ASSERT_TRUE(setKernelTarget("scalar"));
+        auto cr = fx.ctx(*ref);
+        runMuKernel(MuKernelKind::SimdTzStagCut, *ref, cr);
+        const std::size_t bytes = ref->muDst.allocSize() * sizeof(double);
+        for (const KernelTarget* t : availableKernelTargets()) {
+            ASSERT_TRUE(setKernelTarget(t->name));
+            auto tst = fx.makeBlock(Scenario::Interface, 77, size);
+            auto ct = fx.ctx(*tst);
+            runMuKernel(MuKernelKind::SimdTzStagCut, *tst, ct);
+            EXPECT_EQ(std::memcmp(ref->muDst.data(), tst->muDst.data(), bytes),
+                      0)
+                << t->name << " nx=" << size.x;
+        }
+    }
 }
 
 TEST(MuKernelSimdGuardsDeathTest, RejectsNxNotDivisibleByFour) {

@@ -133,23 +133,6 @@ TEST(Solver, MuOverlapIsBitwiseEquivalentToAlgorithm1) {
     EXPECT_EQ(Snapshot::take(plain).maxDiff(Snapshot::take(overlap)), 0.0);
 }
 
-TEST(Solver, PhiOverlapMatchesAlgorithm1WithinRounding) {
-    // The split mu-sweep applies the anti-trapping divergence in a second
-    // pass; same physics, different rounding.
-    auto cfg = smallConfig();
-    Solver plain(cfg);
-    plain.initialize();
-    plain.run(50);
-
-    cfg.overlapPhi = true;
-    cfg.overlapMu = true;
-    Solver overlap(cfg);
-    overlap.initialize();
-    overlap.run(50);
-
-    EXPECT_LT(Snapshot::take(plain).maxDiff(Snapshot::take(overlap)), 1e-9);
-}
-
 class SolverRankCountTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SolverRankCountTest, MultiRankMatchesSerialBitwise) {
