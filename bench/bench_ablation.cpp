@@ -1,5 +1,5 @@
-/// Ablation benches for the design choices called out in DESIGN.md §4 /
-/// paper §3.3 and §5.1.1:
+/// Ablation benches for the design choices called out in paper §3.3 and
+/// §5.1.1 (docs/KERNELS.md):
 ///  - staggered-value buffering (paper: "increases the mu-kernel performance
 ///    by almost a factor of two", smaller effect for phi),
 ///  - T(z) slice precomputation (paper: +20% mu, +80% phi),

@@ -10,8 +10,12 @@
 /// gain; the solver no longer offers it (docs/TRANSPORT.md records the last
 /// measurement of all four combinations).
 ///
+/// Each rank count runs kPairs interleaved blocked/mu-overlap pairs,
+/// alternating which side goes first, and reports the median [min, max] step
+/// time of each side: one run of each is inside the run-to-run spread.
+///
 /// Flags:
-///   --transport <thread|shm|mpi>  vmpi backend for the ranks (default:
+///   --transport <thread|shm>      vmpi backend for the ranks (default:
 ///                                 $TPF_TRANSPORT or thread). `shm` forks
 ///                                 real processes, so the overlap numbers
 ///                                 are measured against genuine multi-
@@ -21,10 +25,12 @@
 ///                                 hardware_concurrency so the bench also
 ///                                 runs on single-core CI boxes).
 ///   --steps <n>                   timed steps per measurement (default 6).
-///   --json <path>                 upsert whole-step MLUP/s per config plus
-///                                 the blocked/mu-overlap step-time ratio
-///                                 into the BENCH_<n>.json trajectory.
+///   --json <path>                 upsert the median whole-step MLUP/s per
+///                                 config plus the ratio of the median
+///                                 blocked to mu-overlap step times into the
+///                                 BENCH_<n>.json trajectory.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -48,6 +54,7 @@ struct CommTimes {
 };
 
 constexpr int kBlock = 40;
+constexpr int kPairs = 10;
 
 /// Run `steps` solver steps on `ranks` ranks (one 40^3 block per rank,
 /// stacked in z) and report the mean per-step communication time.
@@ -89,6 +96,19 @@ CommTimes measure(vmpi::TransportKind kind, int ranks, bool overlapMu,
         }
     });
     return result;
+}
+
+double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// "median [min, max]" of \p v.
+std::string spread(const std::vector<double>& v, int digits) {
+    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+    return Table::num(median(v), digits) + " [" + Table::num(*lo, digits) +
+           ", " + Table::num(*hi, digits) + "]";
 }
 
 double mlupsOf(int ranks, double stepMs) {
@@ -133,7 +153,7 @@ int main(int argc, char** argv) {
             }
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--transport <thread|shm|mpi>] "
+                         "usage: %s [--transport <thread|shm>] "
                          "[--ranks <a,b,...>] [--steps <n>] [--json <path>]\n",
                          argv[0]);
             return 2;
@@ -146,40 +166,65 @@ int main(int argc, char** argv) {
     const char* tname = vmpi::transportName(kind);
 
     std::printf("== Figure 8: time spent in communication per time step "
-                "(40^3 block per rank, %s transport) ==\n\n",
-                tname);
+                "(40^3 block per rank, %s transport, %d interleaved pairs; "
+                "median [min, max]) ==\n\n",
+                tname, kPairs);
 
     Table t({"ranks", "phi [ms]", "mu no-overlap [ms]", "mu overlap [ms]",
-             "step blocked [ms]", "step mu-overlap [ms]", "overlap ratio"});
+             "step blocked [ms]", "step mu-overlap [ms]", "overlap ratio",
+             "mu-overlap wins"});
     std::vector<perf::BenchEntry> entries;
 
     for (const int ranks : rankList) {
-        const CommTimes plain = measure(kind, ranks, false, steps);
-        const CommTimes muOnly = measure(kind, ranks, true, steps);
+        std::vector<double> phiMs, muPlainMs, muHiddenMs, plainStep, muStep;
+        int muWins = 0;
+        for (int pair = 0; pair < kPairs; ++pair) {
+            // Alternate which side runs first so drift in the host's load
+            // does not favour one of them.
+            CommTimes plain, muOnly;
+            if (pair % 2 == 0) {
+                plain = measure(kind, ranks, false, steps);
+                muOnly = measure(kind, ranks, true, steps);
+            } else {
+                muOnly = measure(kind, ranks, true, steps);
+                plain = measure(kind, ranks, false, steps);
+            }
+            phiMs.push_back(plain.phiMs);
+            muPlainMs.push_back(plain.muMs);
+            muHiddenMs.push_back(muOnly.muMs);
+            plainStep.push_back(plain.stepMs);
+            muStep.push_back(muOnly.stepMs);
+            if (muOnly.stepMs < plain.stepMs) ++muWins;
+        }
         // The honest headline number: how much faster the mu-overlapped step
         // is than the fully blocked one, measured (not modeled).
-        const double ratio = plain.stepMs / muOnly.stepMs;
+        const double plainMed = median(plainStep);
+        const double muMed = median(muStep);
+        const double ratio = plainMed / muMed;
+        const std::string wins =
+            std::to_string(muWins) + "/" + std::to_string(kPairs);
 
-        t.addRow({std::to_string(ranks), Table::num(plain.phiMs, 3),
-                  Table::num(plain.muMs, 3), Table::num(muOnly.muMs, 3),
-                  Table::num(plain.stepMs, 2), Table::num(muOnly.stepMs, 2),
-                  Table::num(ratio, 3)});
+        t.addRow({std::to_string(ranks), Table::num(median(phiMs), 3),
+                  Table::num(median(muPlainMs), 3),
+                  Table::num(median(muHiddenMs), 3), spread(plainStep, 2),
+                  spread(muStep, 2), Table::num(ratio, 3), wins});
 
         const std::string tag =
             std::string(tname) + " r" + std::to_string(ranks) + " 40^3";
         entries.push_back({"bench_fig8_comm_overlap", "blocked " + tag,
-                           mlupsOf(ranks, plain.stepMs), 0.0});
+                           mlupsOf(ranks, plainMed), 0.0});
         entries.push_back({"bench_fig8_comm_overlap", "mu-overlap " + tag,
-                           mlupsOf(ranks, muOnly.stepMs), 0.0});
+                           mlupsOf(ranks, muMed), 0.0});
         // Stored in the mlups slot — it is a dimensionless speedup, as the
         // variant label says.
         entries.push_back({"bench_fig8_comm_overlap",
                            "overlap-ratio (blocked/mu-overlap step) " + tag,
                            ratio, 0.0});
 
-        std::printf("  [%s r%d] step: blocked %.2f ms, mu-overlap %.2f ms "
-                    "-> overlap ratio %.3f\n",
-                    tname, ranks, plain.stepMs, muOnly.stepMs, ratio);
+        std::printf("  [%s r%d] step: blocked %s ms, mu-overlap %s ms "
+                    "-> overlap ratio %.3f, mu-overlap won %s pairs\n",
+                    tname, ranks, spread(plainStep, 2).c_str(),
+                    spread(muStep, 2).c_str(), ratio, wins.c_str());
     }
     std::printf("\n");
     t.print();

@@ -3,12 +3,12 @@
 ///
 /// The paper runs SuperMUC (up to 32,768 cores), Hornet and JUQUEEN (up to
 /// 262,144 cores); this reproduction substitutes single-node vmpi ranks
-/// (DESIGN.md §2) — the *shape* to verify is a flat MLUP/s-per-core curve
+/// (docs/TRANSPORT.md) — the *shape* to verify is a flat MLUP/s-per-core curve
 /// with the interface scenario slowest ("the runtime is dominated by the
 /// interface blocks").
 ///
 /// Flags:
-///   --transport <thread|shm|mpi>  vmpi backend (default: $TPF_TRANSPORT or
+///   --transport <thread|shm>      vmpi backend (default: $TPF_TRANSPORT or
 ///                                 thread). `shm` forks real processes, so
 ///                                 the scaling curve includes genuine
 ///                                 inter-process communication.
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
             }
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--transport <thread|shm|mpi>] "
+                         "usage: %s [--transport <thread|shm>] "
                          "[--ranks <a,b,...>] [--steps <n>] [--json <path>]\n",
                          argv[0]);
             return 2;

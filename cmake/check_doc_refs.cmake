@@ -6,6 +6,11 @@
 # Every `src/...`, `tests/...`, `bench/...`, `examples/...`, `docs/...` or
 # `cmake/...` token with a file extension found in the checked docs must name
 # an existing file. Directory references (no extension) are not checked.
+#
+# The same holds for the code's pointers into the docs: every `*.md` token in
+# a `//` comment of a source file under src/, tests/, bench/ or examples/
+# must name an existing file, relative to the repository root
+# (`docs/KERNELS.md`, `README.md`).
 
 if(NOT DEFINED REPO_ROOT)
     get_filename_component(REPO_ROOT "${CMAKE_CURRENT_LIST_DIR}/.." ABSOLUTE)
@@ -33,6 +38,25 @@ foreach(doc IN LISTS checked_docs)
     foreach(ref IN LISTS refs)
         if(NOT EXISTS "${REPO_ROOT}/${ref}")
             list(APPEND missing "  ${doc}: ${ref}")
+        endif()
+    endforeach()
+endforeach()
+
+file(GLOB_RECURSE sources RELATIVE "${REPO_ROOT}"
+    "${REPO_ROOT}/src/*.h" "${REPO_ROOT}/src/*.cpp"
+    "${REPO_ROOT}/tests/*.h" "${REPO_ROOT}/tests/*.cpp"
+    "${REPO_ROOT}/bench/*.h" "${REPO_ROOT}/bench/*.cpp"
+    "${REPO_ROOT}/examples/*.h" "${REPO_ROOT}/examples/*.cpp")
+list(SORT sources)
+foreach(src IN LISTS sources)
+    file(READ "${REPO_ROOT}/${src}" content)
+    string(REGEX MATCHALL "//[^\n]*" comments "${content}")
+    string(REGEX MATCHALL "[A-Za-z0-9_/.-]+\\.md[A-Za-z0-9_]*"
+        refs "${comments}")
+    list(REMOVE_DUPLICATES refs)
+    foreach(ref IN LISTS refs)
+        if(ref MATCHES "\\.md$" AND NOT EXISTS "${REPO_ROOT}/${ref}")
+            list(APPEND missing "  ${src}: ${ref}")
         endif()
     endforeach()
 endforeach()

@@ -1,9 +1,9 @@
 #pragma once
 /// \file fractions.h
 /// Phase-fraction diagnostics: global fractions, per-z-slice profiles and
-/// front position. Used by the examples and by EXPERIMENTS.md to compare the
-/// grown microstructure against the lever-rule expectation ("similar phase
-/// fractions" of the real Ag-Al-Cu system).
+/// front position. Used by the examples to compare the grown microstructure
+/// against the lever-rule expectation ("similar phase fractions" of the real
+/// Ag-Al-Cu system).
 
 #include <array>
 #include <vector>

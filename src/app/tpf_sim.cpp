@@ -477,8 +477,8 @@ int main(int argc, char** argv) {
     const std::string transportFlag = cli.getString(
         "transport", "",
         "message transport for --ranks > 1: thread (in-process), shm "
-        "(forked processes over shared memory), mpi (TPF_WITH_MPI builds "
-        "under mpirun); default: $TPF_TRANSPORT, else thread");
+        "(forked processes over shared memory); default: $TPF_TRANSPORT, "
+        "else thread");
     const bool window =
         cli.getFlag("window", "enable the moving window (solidify only)");
     const std::string kernelFlag = cli.getString(
@@ -857,18 +857,19 @@ int main(int argc, char** argv) {
         }
     }
 
-    vmpi::TransportKind transport = vmpi::defaultTransport();
-    if (!transportFlag.empty()) {
-        if (!vmpi::parseTransportName(transportFlag, transport)) {
-            std::fprintf(stderr, "unknown --transport '%s' (thread, shm, mpi)\n",
-                         transportFlag.c_str());
-            return 2;
-        }
-        if (!vmpi::transportCompiledIn(transport)) {
-            std::fprintf(stderr,
-                         "--transport mpi requires a TPF_WITH_MPI=ON build\n");
-            return 2;
-        }
+    // --transport beats TPF_TRANSPORT beats thread; an unknown name from
+    // either source is a usage error.
+    std::string transportStr = transportFlag;
+    const bool transportExplicit = !transportStr.empty();
+    if (transportStr.empty())
+        if (const char* env = std::getenv("TPF_TRANSPORT")) transportStr = env;
+    vmpi::TransportKind transport = vmpi::TransportKind::Thread;
+    if (!transportStr.empty() &&
+        !vmpi::parseTransportName(transportStr, transport)) {
+        std::fprintf(stderr, "unknown %s '%s' (thread, shm)\n",
+                     transportExplicit ? "--transport" : "TPF_TRANSPORT",
+                     transportStr.c_str());
+        return 2;
     }
 
     std::filesystem::create_directories(opt.outdir);

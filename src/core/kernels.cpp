@@ -39,12 +39,6 @@ void runPhiKernel(PhiKernelKind k, SimBlock& b, const StepContext& ctx) {
     switch (k) {
         case PhiKernelKind::General: phiSweepGeneral(b, ctx); return;
         case PhiKernelKind::Basic: phiSweepBasic(b, ctx); return;
-        case PhiKernelKind::ScalarTzStag:
-            phiSweepScalarOpt(b, ctx, /*shortcuts=*/false);
-            return;
-        case PhiKernelKind::ScalarTzStagCut:
-            phiSweepScalarOpt(b, ctx, /*shortcuts=*/true);
-            return;
         case PhiKernelKind::Simd:
             dispatchPhiCellwise(b, ctx, false, false, false);
             return;
@@ -66,12 +60,6 @@ void runMuKernel(MuKernelKind k, SimBlock& b, const StepContext& ctx) {
     switch (k) {
         case MuKernelKind::General: muSweepGeneral(b, ctx); return;
         case MuKernelKind::Basic: muSweepBasic(b, ctx); return;
-        case MuKernelKind::ScalarTzStag:
-            muSweepScalarOpt(b, ctx, /*shortcuts=*/false);
-            return;
-        case MuKernelKind::ScalarTzStagCut:
-            muSweepScalarOpt(b, ctx, /*shortcuts=*/true);
-            return;
         case MuKernelKind::Simd:
             dispatchMuMultiCell(b, ctx, false, false, false);
             return;
@@ -92,8 +80,6 @@ std::string kernelName(PhiKernelKind k) {
     switch (k) {
         case PhiKernelKind::General: return "general-C";
         case PhiKernelKind::Basic: return "basic";
-        case PhiKernelKind::ScalarTzStag: return "scalar+Tz+stag";
-        case PhiKernelKind::ScalarTzStagCut: return "scalar+Tz+stag+cut";
         case PhiKernelKind::Simd: return "simd-cellwise";
         case PhiKernelKind::SimdTz: return "simd+Tz";
         case PhiKernelKind::SimdTzStag: return "simd+Tz+stag";
@@ -107,8 +93,6 @@ std::string kernelName(MuKernelKind k) {
     switch (k) {
         case MuKernelKind::General: return "general-C";
         case MuKernelKind::Basic: return "basic";
-        case MuKernelKind::ScalarTzStag: return "scalar+Tz+stag";
-        case MuKernelKind::ScalarTzStagCut: return "scalar+Tz+stag+cut";
         case MuKernelKind::Simd: return "simd-fourcell";
         case MuKernelKind::SimdTz: return "simd+Tz";
         case MuKernelKind::SimdTzStag: return "simd+Tz+stag";
@@ -119,10 +103,9 @@ std::string kernelName(MuKernelKind k) {
 
 const std::vector<PhiKernelKind>& allPhiKernels() {
     static const std::vector<PhiKernelKind> v{
-        PhiKernelKind::General,       PhiKernelKind::Basic,
-        PhiKernelKind::ScalarTzStag,  PhiKernelKind::ScalarTzStagCut,
-        PhiKernelKind::Simd,          PhiKernelKind::SimdTz,
-        PhiKernelKind::SimdTzStag,    PhiKernelKind::SimdTzStagCut,
+        PhiKernelKind::General,    PhiKernelKind::Basic,
+        PhiKernelKind::Simd,       PhiKernelKind::SimdTz,
+        PhiKernelKind::SimdTzStag, PhiKernelKind::SimdTzStagCut,
         PhiKernelKind::SimdFourCell,
     };
     return v;
@@ -130,10 +113,9 @@ const std::vector<PhiKernelKind>& allPhiKernels() {
 
 const std::vector<MuKernelKind>& allMuKernels() {
     static const std::vector<MuKernelKind> v{
-        MuKernelKind::General,      MuKernelKind::Basic,
-        MuKernelKind::ScalarTzStag, MuKernelKind::ScalarTzStagCut,
-        MuKernelKind::Simd,         MuKernelKind::SimdTz,
-        MuKernelKind::SimdTzStag,   MuKernelKind::SimdTzStagCut,
+        MuKernelKind::General,    MuKernelKind::Basic,
+        MuKernelKind::Simd,       MuKernelKind::SimdTz,
+        MuKernelKind::SimdTzStag, MuKernelKind::SimdTzStagCut,
     };
     return v;
 }

@@ -14,8 +14,11 @@
 ///  SimdTzStag  (+ staggered buffers)    | "with staggered buffer"
 ///  SimdTzStagCut (+ bulk shortcuts)     | "with shortcuts"
 ///  SimdFourCell (multi-cell Tz+Stag+Cut)| Figure 5 "four cells"  [production]
-///  ScalarTzStag / ScalarTzStagCut       | ablation: all algorithmic
-///                                       | optimizations without SIMD
+///
+///  The Simd* kinds run the body of the runtime-selected instruction-set
+///  target (core/kernel_dispatch.h); under `--kernel scalar` they are the
+///  ablation "all algorithmic optimizations without SIMD", whose rungs
+///  the tests pin byte-identical to SimdTzStagCut.
 ///
 ///  SimdFourCell holds one phase of V::width consecutive x-cells per vector
 ///  (8 under the avx512 target) and is bitwise equal to SimdTzStagCut; blocks
@@ -40,8 +43,6 @@ namespace tpf::core {
 enum class PhiKernelKind {
     General,
     Basic,
-    ScalarTzStag,
-    ScalarTzStagCut,
     Simd,
     SimdTz,
     SimdTzStag,
@@ -52,8 +53,6 @@ enum class PhiKernelKind {
 enum class MuKernelKind {
     General,
     Basic,
-    ScalarTzStag,
-    ScalarTzStagCut,
     Simd,
     SimdTz,
     SimdTzStag,
@@ -119,10 +118,8 @@ bool needsTzCache(MuKernelKind k);
 // translation units; prefer runPhiKernel/runMuKernel for dispatch) ---
 void phiSweepGeneral(SimBlock& b, const StepContext& ctx);
 void phiSweepBasic(SimBlock& b, const StepContext& ctx);
-void phiSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts);
 
 void muSweepGeneral(SimBlock& b, const StepContext& ctx);
 void muSweepBasic(SimBlock& b, const StepContext& ctx);
-void muSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts);
 
 } // namespace tpf::core

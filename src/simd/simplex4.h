@@ -9,8 +9,6 @@
 /// operand for +-0 and NaN inputs, which `a > b ? a : b` and
 /// `std::max(v, 0.0)` do not.
 
-#include "simd/simd.h"
-
 namespace tpf::simd {
 
 namespace detail {

@@ -15,8 +15,7 @@
 ///     roughly 37% Al2Cu / 24% Ag2Al / 39% fcc-Al here),
 ///   - solids thermodynamically favoured below T_E (positive m), liquid
 ///     above.
-/// Energies are non-dimensionalized (the solver works in lattice units);
-/// DESIGN.md §2 documents this substitution.
+/// Energies are non-dimensionalized (the solver works in lattice units).
 
 #include "thermo/system.h"
 

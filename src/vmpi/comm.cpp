@@ -144,17 +144,12 @@ void runParallel(int nranks, const std::function<void(Comm&)>& f) {
 
 void runParallel(TransportKind kind, int nranks,
                  const std::function<void(Comm&)>& f) {
-    TPF_ASSERT(transportCompiledIn(kind),
-               "requested transport is not compiled into this binary");
     switch (kind) {
     case TransportKind::Thread:
         detail::runParallelThread(nranks, f, /*shuffleSeed=*/0);
         return;
     case TransportKind::Shm:
         detail::runParallelShm(nranks, f);
-        return;
-    case TransportKind::Mpi:
-        detail::runParallelMpi(nranks, f);
         return;
     }
     TPF_ASSERT(false, "unknown transport kind");

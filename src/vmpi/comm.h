@@ -8,8 +8,8 @@
 /// tagged point-to-point messages, nonblocking receive + wait (for
 /// communication hiding), barriers and deterministic collectives — and
 /// moves the bytes through a Transport (vmpi/transport.h): threads of one
-/// process (default), forked processes over shared memory, or real MPI
-/// when built with TPF_WITH_MPI. See DESIGN.md §2 and docs/TRANSPORT.md.
+/// process (default) or forked processes over shared memory. See
+/// docs/TRANSPORT.md.
 ///
 /// Semantics:
 ///  - send() is buffered: the payload is copied out before send() returns

@@ -11,7 +11,6 @@ const char* transportName(TransportKind k) {
     switch (k) {
     case TransportKind::Thread: return "thread";
     case TransportKind::Shm: return "shm";
-    case TransportKind::Mpi: return "mpi";
     }
     return "?";
 }
@@ -25,23 +24,10 @@ bool parseTransportName(const std::string& name, TransportKind& out) {
         out = TransportKind::Shm;
         return true;
     }
-    if (name == "mpi") {
-        out = TransportKind::Mpi;
-        return true;
-    }
     return false;
 }
 
-bool transportCompiledIn(TransportKind k) {
-#if TPF_WITH_MPI
-    (void)k;
-    return true;
-#else
-    return k != TransportKind::Mpi;
-#endif
-}
-
-std::vector<TransportKind> spawnableTransports() {
+std::vector<TransportKind> allTransports() {
     return {TransportKind::Thread, TransportKind::Shm};
 }
 
@@ -51,9 +37,6 @@ TransportKind defaultTransport() {
     TransportKind k = TransportKind::Thread;
     const bool known = parseTransportName(env, k);
     TPF_ASSERT(known, "TPF_TRANSPORT names an unknown transport");
-    TPF_ASSERT(transportCompiledIn(k),
-               "TPF_TRANSPORT names a transport not compiled into this "
-               "binary (mpi requires TPF_WITH_MPI=ON)");
     return k;
 }
 

@@ -5,7 +5,7 @@
 /// A Transport moves tagged byte messages between ranks and synchronizes
 /// them; everything above it (the deterministic collectives, the typed
 /// send/recv helpers, the ghost exchange) is transport-agnostic code in
-/// vmpi::Comm. Three implementations exist:
+/// vmpi::Comm. Two implementations exist:
 ///
 ///  - thread (transport_thread.cpp): ranks are threads of one process,
 ///    messages travel through in-process mailboxes. The default and the
@@ -14,9 +14,10 @@
 ///    travel through shm_open'd ring buffers. Real process-separated ranks
 ///    with real asynchronous progress (the sender copies into shared memory
 ///    while the receiver computes) without requiring an MPI runtime.
-///  - mpi (transport_mpi.cpp, only when built with TPF_WITH_MPI): ranks are
-///    MPI processes, messages travel through MPI_Isend/MPI_Irecv. Requires
-///    an mpirun launch whose world size matches the requested rank count.
+///
+/// A new backend (e.g. one over a real MPI runtime) implements this
+/// interface and adds a TransportKind; docs/TRANSPORT.md lists what it must
+/// guarantee.
 ///
 /// Semantics every implementation must provide (docs/TRANSPORT.md):
 ///  - send() is buffered: it may block for *buffer space* but never for a
@@ -42,26 +43,19 @@
 
 namespace tpf::vmpi {
 
-enum class TransportKind { Thread, Shm, Mpi };
+enum class TransportKind { Thread, Shm };
 
-/// Canonical lowercase name ("thread", "shm", "mpi").
+/// Canonical lowercase name ("thread", "shm").
 const char* transportName(TransportKind k);
 
 /// Parse a canonical name; returns false (out untouched) on anything else.
 bool parseTransportName(const std::string& name, TransportKind& out);
 
-/// Whether the backend is compiled into this binary (mpi is only present
-/// under TPF_WITH_MPI; thread and shm always are).
-bool transportCompiledIn(TransportKind k);
-
-/// Transports runParallel() can spawn from a plain single-process launch:
-/// thread and shm. The mpi backend cannot be spawned — the processes already
-/// exist (mpirun starts them), runParallel only adopts them — so it is
-/// excluded here; test suites iterate this list.
-std::vector<TransportKind> spawnableTransports();
+/// Every transport, in enum order; test suites iterate this list.
+std::vector<TransportKind> allTransports();
 
 /// The transport runParallel(nranks, f) uses: $TPF_TRANSPORT when set (must
-/// name a compiled-in backend, hard error otherwise), thread by default.
+/// name a known backend, hard error otherwise), thread by default.
 TransportKind defaultTransport();
 
 /// Abstract message substrate for one rank. Constructed per rank by the

@@ -26,10 +26,6 @@ void runParallelThread(int nranks, const RankFn& f, std::uint64_t shuffleSeed);
 /// Fork + shared-memory backend: true process-separated ranks.
 void runParallelShm(int nranks, const RankFn& f);
 
-/// MPI backend (only with TPF_WITH_MPI): adopts the already-running MPI
-/// processes; aborts when not launched under a matching mpirun.
-void runParallelMpi(int nranks, const RankFn& f);
-
 /// Comm factory for the backend launchers (friend of Comm).
 Comm makeComm(Transport* t);
 

@@ -1,7 +1,7 @@
 /// \file transport_thread.cpp
 /// The in-process thread backend: ranks are threads of one process,
 /// messages travel through per-rank mailboxes. This is the original vmpi
-/// substrate (DESIGN.md §2) factored behind the Transport interface, plus
+/// substrate factored behind the Transport interface, plus
 /// an adversarial "shuffled delivery" mode for the collective-sequencing
 /// regression tests: when enabled, push() inserts each message at a random
 /// position in the destination mailbox, so two messages that share a

@@ -3,12 +3,15 @@
 /// kernel versions for equivalence".
 ///
 /// Equivalence classes:
-///  - General / Basic / ScalarTzStag / ScalarTzStagCut: bitwise identical
-///    (same expressions; the Tz cache and the staggered buffers reproduce the
-///    per-cell arithmetic exactly, and the bulk shortcut is exact because
-///    projection pins bulk cells at simplex vertices).
+///  - General / Basic: bitwise identical (same expressions, function-pointer
+///    vs direct calls).
 ///  - SIMD variants: equal to the scalar reference within a tight tolerance
 ///    (different association of the four-phase sums).
+///  - The cellwise ladder Simd / SimdTz / SimdTzStag: byte-identical to
+///    SimdTzStagCut on every dispatch target (the Tz cache and the staggered
+///    buffers reproduce the per-cell arithmetic exactly, and the bulk
+///    shortcut is exact because projection pins bulk cells at simplex
+///    vertices).
 ///  - SimdFourCell (the production multi-cell body): byte-identical to
 ///    SimdTzStagCut on every dispatch target, block shape and slab.
 
@@ -90,10 +93,8 @@ TEST_P(PhiKernelEquivalence, MatchesBasicReference) {
     runPhiKernel(kind, *tst, ctxTst);
 
     const double d = maxDiff(ref->phiDst, tst->phiDst);
-    const bool bitwiseClass = kind == PhiKernelKind::General ||
-                              kind == PhiKernelKind::Basic ||
-                              kind == PhiKernelKind::ScalarTzStag ||
-                              kind == PhiKernelKind::ScalarTzStagCut;
+    const bool bitwiseClass =
+        kind == PhiKernelKind::General || kind == PhiKernelKind::Basic;
     if (bitwiseClass)
         EXPECT_EQ(d, 0.0) << kernelName(kind) << " must be bitwise equal";
     else
@@ -387,6 +388,44 @@ TEST(PhiMultiCell, BlocksTheBodyCannotTakeRunTheCellwiseBody) {
         SCOPED_TRACE(std::string(t->name) + " zyxf");
         EXPECT_TRUE(fourCellMatchesCellwise(fx, Scenario::Interface,
                                             {12, 12, 12}, 0, -1, Layout::zyxf));
+    }
+}
+
+// --- ladder exactness --------------------------------------------------------
+// The T(z) cache, the staggered buffers and the bulk shortcuts are exact
+// memoisations: each rung of the cellwise ladder reproduces SimdTzStagCut byte
+// for byte on full blocks, under every dispatch target. Under the scalar
+// target this ladder is the "algorithmic optimizations without SIMD"
+// ablation. Slab-restricted sweeps may differ in the sign of zero (a shortcut
+// buffers +0.0 where a seed computes -0.0), so they are compared by value.
+
+TEST(PhiKernelLadder, EveryRungIsBytewiseTheFullLadderOnEveryTarget) {
+    TargetGuard guard;
+    KernelFixture fx;
+    for (const KernelTarget* t : availableKernelTargets()) {
+        ASSERT_TRUE(setKernelTarget(t->name));
+        for (Scenario sc :
+             {Scenario::Interface, Scenario::Liquid, Scenario::Solid}) {
+            auto ref = fx.makeBlock(sc, {16, 16, 16}, 77);
+            auto c = fx.ctx(*ref);
+            runPhiKernel(PhiKernelKind::SimdTzStagCut, *ref, c);
+            auto refSlab = fx.makeBlock(sc, {16, 16, 16}, 77);
+            StepContext cs = c;
+            cs.zBegin = 5;
+            cs.zEnd = 11;
+            runPhiKernel(PhiKernelKind::SimdTzStagCut, *refSlab, cs);
+            for (PhiKernelKind k : {PhiKernelKind::Simd, PhiKernelKind::SimdTz,
+                                    PhiKernelKind::SimdTzStag}) {
+                SCOPED_TRACE(std::string(t->name) + " " + scenarioName(sc) +
+                             " " + kernelName(k));
+                auto tst = fx.makeBlock(sc, {16, 16, 16}, 77);
+                runPhiKernel(k, *tst, c);
+                EXPECT_TRUE(sameBytes(ref->phiDst, tst->phiDst));
+                auto tstSlab = fx.makeBlock(sc, {16, 16, 16}, 77);
+                runPhiKernel(k, *tstSlab, cs);
+                EXPECT_EQ(maxDiff(refSlab->phiDst, tstSlab->phiDst), 0.0);
+            }
+        }
     }
 }
 

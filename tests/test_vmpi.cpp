@@ -1,10 +1,8 @@
 /// Tests for the virtual MPI layer: point-to-point matching, nonblocking
 /// receives, barriers, deterministic collectives, exception propagation —
-/// parameterized over every spawnable transport (thread, shm), so the same
-/// semantic contract is enforced against in-process mailboxes and forked
-/// processes over shared-memory rings alike. The mpi backend cannot be
-/// spawned from a plain test process (mpirun owns process creation) and is
-/// covered by running this binary under mpirun on an MPI build.
+/// parameterized over every transport (thread, shm), so the same semantic
+/// contract is enforced against in-process mailboxes and forked processes
+/// over shared-memory rings alike.
 ///
 /// Also here: the collective-sequencing regression harness (randomized
 /// delivery via runParallelThreadShuffled) and the dropped-Request death
@@ -31,7 +29,7 @@ protected:
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    AllTransports, VmpiTransport, ::testing::ValuesIn(spawnableTransports()),
+    AllTransports, VmpiTransport, ::testing::ValuesIn(allTransports()),
     [](const ::testing::TestParamInfo<TransportKind>& paramInfo) {
         return transportName(paramInfo.param);
     });
@@ -239,7 +237,7 @@ TEST_P(VmpiTransport, BcastDistributesRootValue) {
 TEST_P(VmpiTransport, AllreduceIsDeterministicAcrossRuns) {
     // Rank-ordered combination: both runs must give bitwise equal sums even
     // for values where addition order matters. Root is the calling process
-    // on every spawnable transport, so the captured result survives.
+    // on every transport, so the captured result survives.
     double first = 0.0;
     for (int runIdx = 0; runIdx < 2; ++runIdx) {
         double result = 0.0;
@@ -309,7 +307,7 @@ TEST(Vmpi, DefaultTransportIsUsedByPlainRunParallel) {
 
 using VmpiDeathTest = VmpiTransport;
 INSTANTIATE_TEST_SUITE_P(
-    AllTransports, VmpiDeathTest, ::testing::ValuesIn(spawnableTransports()),
+    AllTransports, VmpiDeathTest, ::testing::ValuesIn(allTransports()),
     [](const ::testing::TestParamInfo<TransportKind>& paramInfo) {
         return transportName(paramInfo.param);
     });
