@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
     std::string jsonPath;
     std::vector<int> rankList{2, 4};
     int steps = 6;
-    vmpi::TransportKind kind = vmpi::defaultTransport();
+    std::string transportFlag;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
             jsonPath = argv[++i];
@@ -147,10 +147,7 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
             steps = std::atoi(argv[++i]);
         } else if (std::strcmp(argv[i], "--transport") == 0 && i + 1 < argc) {
-            if (!vmpi::parseTransportName(argv[++i], kind)) {
-                std::fprintf(stderr, "unknown transport '%s'\n", argv[i]);
-                return 2;
-            }
+            transportFlag = argv[++i];
         } else {
             std::fprintf(stderr,
                          "usage: %s [--transport <thread|shm>] "
@@ -163,6 +160,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad --ranks/--steps\n");
         return 2;
     }
+    const vmpi::TransportChoice transport =
+        vmpi::resolveTransport(transportFlag);
+    if (!transport.error.empty()) {
+        std::fprintf(stderr, "%s\n", transport.error.c_str());
+        return 2;
+    }
+    const vmpi::TransportKind kind = transport.kind;
     const char* tname = vmpi::transportName(kind);
 
     std::printf("== Figure 8: time spent in communication per time step "

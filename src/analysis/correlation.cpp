@@ -1,6 +1,8 @@
 #include "analysis/correlation.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "analysis/lamellae.h" // indicatorPlane: the shared phase threshold
 #include "util/assert.h"
@@ -8,21 +10,102 @@
 namespace tpf::analysis {
 
 namespace {
-inline int wrap(int v, int n) { return ((v % n) + n) % n; }
+constexpr int kWordBits = 64;
 
-/// Integer S2 hit counts of one plane, accumulated into \p hits.
-void accumulatePlaneHits(const unsigned char* ind, int nx, int ny, int axis,
-                         int maxShift, std::vector<long long>& hits) {
-    for (int y = 0; y < ny; ++y) {
-        for (int x = 0; x < nx; ++x) {
-            if (!ind[static_cast<std::size_t>(y) * nx + x]) continue;
-            for (int r = 0; r <= maxShift; ++r) {
-                const int xs = axis == 0 ? wrap(x + r, nx) : x;
-                const int ys = axis == 1 ? wrap(y + r, ny) : y;
-                if (ind[static_cast<std::size_t>(ys) * nx + xs])
-                    ++hits[static_cast<std::size_t>(r)];
-            }
+/// v mod n in [0, n) for any sign of v: a lag's periodic shift.
+inline int periodicShift(int v, int n) { return ((v % n) + n) % n; }
+
+/// An indicator plane packed one bit per cell: row y occupies `words`
+/// consecutive words, cell x is bit x % 64 of the row's word x / 64, and the
+/// padding bits at and above nx in the last word of a row are zero.
+class BitPlane {
+public:
+    BitPlane(const unsigned char* ind, int nx, int ny)
+        : nx_(nx), ny_(ny), words_((nx + kWordBits - 1) / kWordBits),
+          bits_(static_cast<std::size_t>(ny) * words_, 0) {
+        for (int y = 0; y < ny; ++y) {
+            std::uint64_t* row = rowPtr(bits_.data(), y);
+            for (int x = 0; x < nx; ++x)
+                if (ind[static_cast<std::size_t>(y) * nx + x])
+                    row[x / kWordBits] |= std::uint64_t{1} << (x % kWordBits);
         }
+    }
+
+    int nx() const { return nx_; }
+    int ny() const { return ny_; }
+    const std::uint64_t* rows() const { return bits_.data(); }
+
+    /// Every row rotated periodically by \p s in [0, nx): bit x < nx of row
+    /// y of \p out is cell ((x + s) mod nx, y). The row is the nx-bit number
+    /// (row >> s) | (row << (nx - s)), each shift a funnel shift over words.
+    /// The zero padding of the packed rows makes the right shift pull in
+    /// zeros; the left shift leaves bits in the padding of \p out, which
+    /// hits() drops by its AND with the packed rows.
+    void rotate(int s, std::vector<std::uint64_t>& out) const {
+        out.resize(bits_.size());
+        for (int y = 0; y < ny_; ++y) {
+            const std::uint64_t* in = rowPtr(bits_.data(), y);
+            std::uint64_t* o = rowPtr(out.data(), y);
+            for (int w = 0; w < words_; ++w)
+                o[w] = shiftedWord(in, w, s) | shiftedWord(in, w, s - nx_);
+        }
+    }
+
+    /// Hits of lag (dx, dy) = sum over y of popcount(P[y] & R[(y + dy) mod
+    /// ny]), where \p rot holds the rows rotated by dx (rows() for dx = 0)
+    /// and \p sy = dy mod ny.
+    long long hits(const std::uint64_t* rot, int sy) const {
+        long long n = 0;
+        int ys = sy;
+        for (int y = 0; y < ny_; ++y) {
+            const std::uint64_t* a = rowPtr(bits_.data(), y);
+            const std::uint64_t* b = rowPtr(rot, ys);
+            for (int w = 0; w < words_; ++w) n += std::popcount(a[w] & b[w]);
+            if (++ys == ny_) ys = 0;
+        }
+        return n;
+    }
+
+private:
+    template <class T> T* rowPtr(T* base, int y) const {
+        return base + static_cast<std::size_t>(y) * words_;
+    }
+
+    /// Word w of the row shifted toward bit 0 by \p k bits (k >= 0) or
+    /// toward the top by -k bits (k < 0), zeros shifted in. The shift
+    /// amount never reaches 64, which would be undefined.
+    std::uint64_t shiftedWord(const std::uint64_t* row, int w, int k) const {
+        const bool down = k >= 0;
+        const int m = down ? k : -k;
+        const int q = m / kWordBits, r = m % kWordBits;
+        const int lo = down ? w + q : w - q; // word that supplies most bits
+        const int hi = down ? lo + 1 : lo - 1; // neighbour funneled in
+        const auto at = [&](int i) {
+            return i >= 0 && i < words_ ? row[i] : std::uint64_t{0};
+        };
+        if (r == 0) return at(lo);
+        return down ? (at(lo) >> r) | (at(hi) << (kWordBits - r))
+                    : (at(lo) << r) | (at(hi) >> (kWordBits - r));
+    }
+
+    int nx_, ny_, words_;
+    std::vector<std::uint64_t> bits_;
+};
+
+/// Integer S2 hit counts of one plane, accumulated into \p hits: along x the
+/// lag r is (r, 0), along y it is (0, r).
+void accumulatePlaneHits(const BitPlane& plane, int axis, int maxShift,
+                         std::vector<long long>& hits) {
+    std::vector<std::uint64_t> rot;
+    for (int r = 0; r <= maxShift; ++r) {
+        long long n;
+        if (axis == 0) {
+            plane.rotate(periodicShift(r, plane.nx()), rot);
+            n = plane.hits(rot.data(), 0);
+        } else {
+            n = plane.hits(plane.rows(), periodicShift(r, plane.ny()));
+        }
+        hits[static_cast<std::size_t>(r)] += n;
     }
 }
 
@@ -34,7 +117,7 @@ std::vector<double> twoPointCorrelationPlane(const unsigned char* ind, int nx,
     TPF_ASSERT(ind != nullptr && nx > 0 && ny > 0, "invalid indicator plane");
 
     std::vector<long long> hits(static_cast<std::size_t>(maxShift) + 1, 0);
-    accumulatePlaneHits(ind, nx, ny, axis, maxShift, hits);
+    accumulatePlaneHits(BitPlane(ind, nx, ny), axis, maxShift, hits);
 
     std::vector<double> s2(hits.size());
     const double inv = 1.0 / (static_cast<double>(nx) * ny);
@@ -53,7 +136,8 @@ std::vector<double> twoPointCorrelation(const Field<double>& phi, int phase,
     std::vector<long long> hits(static_cast<std::size_t>(maxShift) + 1, 0);
     for (int z = z0; z <= z1; ++z) {
         const auto ind = indicatorPlane(phi, phase, z);
-        accumulatePlaneHits(ind.data(), nx, ny, axis, maxShift, hits);
+        accumulatePlaneHits(BitPlane(ind.data(), nx, ny), axis, maxShift,
+                            hits);
     }
 
     std::vector<double> s2(hits.size());
@@ -82,17 +166,13 @@ std::vector<double> correlationMap2DPlane(const unsigned char* ind, int nx,
     const int side = 2 * maxShift + 1;
     std::vector<double> map(static_cast<std::size_t>(side) * side, 0.0);
 
-    for (int dy = -maxShift; dy <= maxShift; ++dy) {
-        for (int dx = -maxShift; dx <= maxShift; ++dx) {
-            long long hits = 0;
-            for (int y = 0; y < ny; ++y) {
-                const int ys = wrap(y + dy, ny);
-                for (int x = 0; x < nx; ++x) {
-                    const int xs = wrap(x + dx, nx);
-                    hits += ind[static_cast<std::size_t>(y) * nx + x] &
-                            ind[static_cast<std::size_t>(ys) * nx + xs];
-                }
-            }
+    const BitPlane plane(ind, nx, ny);
+    std::vector<std::uint64_t> rot;
+    for (int dx = -maxShift; dx <= maxShift; ++dx) {
+        plane.rotate(periodicShift(dx, nx), rot);
+        for (int dy = -maxShift; dy <= maxShift; ++dy) {
+            const long long hits =
+                plane.hits(rot.data(), periodicShift(dy, ny));
             map[static_cast<std::size_t>(dy + maxShift) * side +
                 (dx + maxShift)] =
                 static_cast<double>(hits) / (static_cast<double>(nx) * ny);

@@ -10,6 +10,19 @@
 /// tiles — hit counting is integer, the single normalizing division is the
 /// only floating-point operation, so the results are decomposition-
 /// independent) and field-based convenience wrappers.
+///
+/// Every result is built from one counting core. The plane is packed one
+/// bit per cell into rows of ceil(nx/64) 64-bit words, with the padding bits
+/// of a row's last word zero. For lag (dx, dy) the core first rotates every
+/// row periodically by dx (once per dx, by funnel shifts over whole words),
+/// giving R_dx, and then counts
+///     hits(dx, dy) = sum_y popcount(P[y] & R_dx[(y + dy) mod ny]).
+/// S2 along x at lag r is hits(r, 0), along y hits(0, r); the map holds
+/// hits(dx, dy). The count is exact: it is the same integer the direct
+/// cell-by-cell loop produces (zero padding adds no hits, and the rotation
+/// keeps each lag's periodic meaning also for |dx| >= nx or |dy| >= ny), and
+/// the normalisation after it is unchanged, so every double is identical.
+/// A lag costs ny*ceil(nx/64) AND+popcount operations instead of nx*ny.
 
 #include <vector>
 

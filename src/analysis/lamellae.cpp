@@ -36,8 +36,6 @@ private:
     std::vector<int> parent_;
 };
 
-inline int wrap(int v, int n) { return ((v % n) + n) % n; }
-
 /// Accumulate the parent/child transition counts between two labeled slices.
 void countTransitions(const SliceLabels& prev, const SliceLabels& cur,
                       LamellaStats& st) {
@@ -84,8 +82,8 @@ SliceLabels labelPlane(const unsigned char* ind, int nx, int ny) {
         for (int x = 0; x < nx; ++x) {
             const int i = y * nx + x;
             if (!ind[static_cast<std::size_t>(i)]) continue;
-            const int xn = wrap(x + 1, nx);
-            const int yn = wrap(y + 1, ny);
+            const int xn = x + 1 == nx ? 0 : x + 1; // periodic +x neighbour
+            const int yn = y + 1 == ny ? 0 : y + 1; // periodic +y neighbour
             if (ind[static_cast<std::size_t>(y) * nx + xn])
                 uf.unite(i, y * nx + xn);
             if (ind[static_cast<std::size_t>(yn) * nx + x])

@@ -857,20 +857,13 @@ int main(int argc, char** argv) {
         }
     }
 
-    // --transport beats TPF_TRANSPORT beats thread; an unknown name from
-    // either source is a usage error.
-    std::string transportStr = transportFlag;
-    const bool transportExplicit = !transportStr.empty();
-    if (transportStr.empty())
-        if (const char* env = std::getenv("TPF_TRANSPORT")) transportStr = env;
-    vmpi::TransportKind transport = vmpi::TransportKind::Thread;
-    if (!transportStr.empty() &&
-        !vmpi::parseTransportName(transportStr, transport)) {
-        std::fprintf(stderr, "unknown %s '%s' (thread, shm)\n",
-                     transportExplicit ? "--transport" : "TPF_TRANSPORT",
-                     transportStr.c_str());
+    const vmpi::TransportChoice transportChoice =
+        vmpi::resolveTransport(transportFlag);
+    if (!transportChoice.error.empty()) {
+        std::fprintf(stderr, "%s\n", transportChoice.error.c_str());
         return 2;
     }
+    const vmpi::TransportKind transport = transportChoice.kind;
 
     std::filesystem::create_directories(opt.outdir);
 

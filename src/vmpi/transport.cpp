@@ -15,29 +15,34 @@ const char* transportName(TransportKind k) {
     return "?";
 }
 
-bool parseTransportName(const std::string& name, TransportKind& out) {
-    if (name == "thread") {
-        out = TransportKind::Thread;
-        return true;
-    }
-    if (name == "shm") {
-        out = TransportKind::Shm;
-        return true;
-    }
-    return false;
+std::optional<TransportKind> parseTransportName(const std::string& name) {
+    if (name == "thread") return TransportKind::Thread;
+    if (name == "shm") return TransportKind::Shm;
+    return std::nullopt;
 }
 
 std::vector<TransportKind> allTransports() {
     return {TransportKind::Thread, TransportKind::Shm};
 }
 
+TransportChoice resolveTransport(const std::string& flag) {
+    std::string name = flag;
+    const char* source = "--transport";
+    if (name.empty()) {
+        const char* env = std::getenv("TPF_TRANSPORT");
+        if (env == nullptr || env[0] == '\0') return {};
+        name = env;
+        source = "TPF_TRANSPORT";
+    }
+    if (const auto kind = parseTransportName(name)) return {*kind, {}};
+    return {TransportKind::Thread,
+            std::string("unknown ") + source + " '" + name + "' (thread, shm)"};
+}
+
 TransportKind defaultTransport() {
-    const char* env = std::getenv("TPF_TRANSPORT");
-    if (env == nullptr || env[0] == '\0') return TransportKind::Thread;
-    TransportKind k = TransportKind::Thread;
-    const bool known = parseTransportName(env, k);
-    TPF_ASSERT(known, "TPF_TRANSPORT names an unknown transport");
-    return k;
+    const TransportChoice c = resolveTransport("");
+    TPF_ASSERT(c.error.empty(), "TPF_TRANSPORT names an unknown transport");
+    return c.kind;
 }
 
 namespace {

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,14 +49,26 @@ enum class TransportKind { Thread, Shm };
 /// Canonical lowercase name ("thread", "shm").
 const char* transportName(TransportKind k);
 
-/// Parse a canonical name; returns false (out untouched) on anything else.
-bool parseTransportName(const std::string& name, TransportKind& out);
+/// Parse a canonical name; std::nullopt ("unknown") on anything else.
+std::optional<TransportKind> parseTransportName(const std::string& name);
 
 /// Every transport, in enum order; test suites iterate this list.
 std::vector<TransportKind> allTransports();
 
-/// The transport runParallel(nranks, f) uses: $TPF_TRANSPORT when set (must
-/// name a known backend, hard error otherwise), thread by default.
+/// A program's transport choice: the backend, or the usage error for an
+/// unknown name ("unknown --transport 'x' (thread, shm)").
+struct TransportChoice {
+    TransportKind kind = TransportKind::Thread;
+    std::string error; ///< empty when the name was known
+};
+
+/// Resolve a program's transport: \p flag (its --transport value, empty when
+/// absent), then $TPF_TRANSPORT, then thread. Programs print a non-empty
+/// error and exit 2.
+TransportChoice resolveTransport(const std::string& flag);
+
+/// The transport runParallel(nranks, f) uses: resolveTransport("") (an
+/// unknown $TPF_TRANSPORT is a hard error), thread by default.
 TransportKind defaultTransport();
 
 /// Abstract message substrate for one rank. Constructed per rank by the

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "analysis/correlation.h"
 #include "analysis/fractions.h"
@@ -114,6 +118,128 @@ TEST(Correlation, PcaIsIsotropicForCheckerboardBlobs) {
     const auto map = correlationMap2D(phi, 0, 2, 8);
     const auto pca = correlationPca(map, 8);
     EXPECT_GT(pca.anisotropy(), 0.8) << "checkerboard is x/y symmetric";
+}
+
+// Byte-loop reference for the bit-packed correlation core: a copy of the
+// direct loops the core replaced, with the same normalisation expressions.
+int refWrap(int v, int n) { return ((v % n) + n) % n; }
+
+void refPlaneHits(const unsigned char* ind, int nx, int ny, int axis,
+                  int maxShift, std::vector<long long>& hits) {
+    for (int y = 0; y < ny; ++y) {
+        for (int x = 0; x < nx; ++x) {
+            if (!ind[static_cast<std::size_t>(y) * nx + x]) continue;
+            for (int r = 0; r <= maxShift; ++r) {
+                const int xs = axis == 0 ? refWrap(x + r, nx) : x;
+                const int ys = axis == 1 ? refWrap(y + r, ny) : y;
+                if (ind[static_cast<std::size_t>(ys) * nx + xs])
+                    ++hits[static_cast<std::size_t>(r)];
+            }
+        }
+    }
+}
+
+std::vector<double> refS2(const unsigned char* ind, int nx, int ny, int axis,
+                          int maxShift) {
+    std::vector<long long> hits(static_cast<std::size_t>(maxShift) + 1, 0);
+    refPlaneHits(ind, nx, ny, axis, maxShift, hits);
+    std::vector<double> s2(hits.size());
+    const double inv = 1.0 / (static_cast<double>(nx) * ny);
+    for (std::size_t r = 0; r < hits.size(); ++r)
+        s2[r] = static_cast<double>(hits[r]) * inv;
+    return s2;
+}
+
+std::vector<double> refMap(const unsigned char* ind, int nx, int ny,
+                           int maxShift) {
+    const int side = 2 * maxShift + 1;
+    std::vector<double> map(static_cast<std::size_t>(side) * side, 0.0);
+    for (int dy = -maxShift; dy <= maxShift; ++dy) {
+        for (int dx = -maxShift; dx <= maxShift; ++dx) {
+            long long hits = 0;
+            for (int y = 0; y < ny; ++y) {
+                const int ys = refWrap(y + dy, ny);
+                for (int x = 0; x < nx; ++x) {
+                    const int xs = refWrap(x + dx, nx);
+                    hits += ind[static_cast<std::size_t>(y) * nx + x] &
+                            ind[static_cast<std::size_t>(ys) * nx + xs];
+                }
+            }
+            map[static_cast<std::size_t>(dy + maxShift) * side +
+                (dx + maxShift)] =
+                static_cast<double>(hits) / (static_cast<double>(nx) * ny);
+        }
+    }
+    return map;
+}
+
+bool sameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(CorrelationPacked, MatchesByteLoopsBitForBit) {
+    // Widths around the 64-bit word edges, ny != nx, and lags past nx so
+    // that they wrap more than once along x (and many times along y).
+    const std::vector<std::pair<int, int>> shapes{
+        {1, 5}, {3, 7}, {63, 4}, {64, 3}, {65, 6}, {96, 2}, {130, 3}};
+    std::mt19937 rng(20151115);
+    for (const auto& [nx, ny] : shapes) {
+        const int maxShift = nx <= 65 ? 2 * nx + 1 : nx + 1;
+        std::vector<std::vector<unsigned char>> planes;
+        for (const double density : {0.5, 0.15}) {
+            std::bernoulli_distribution bit(density);
+            std::vector<unsigned char> p(static_cast<std::size_t>(nx) * ny);
+            for (auto& c : p) c = bit(rng) ? 1 : 0;
+            planes.push_back(p);
+        }
+        planes.emplace_back(static_cast<std::size_t>(nx) * ny, 0);
+        planes.emplace_back(static_cast<std::size_t>(nx) * ny, 1);
+        for (std::size_t k = 0; k < planes.size(); ++k) {
+            SCOPED_TRACE("nx=" + std::to_string(nx) + " ny=" +
+                         std::to_string(ny) + " plane " + std::to_string(k));
+            const unsigned char* ind = planes[k].data();
+            for (int axis = 0; axis < 2; ++axis)
+                EXPECT_TRUE(
+                    sameBytes(twoPointCorrelationPlane(ind, nx, ny, axis,
+                                                       maxShift),
+                              refS2(ind, nx, ny, axis, maxShift)))
+                    << "S2 axis " << axis;
+            EXPECT_TRUE(sameBytes(correlationMap2DPlane(ind, nx, ny, maxShift),
+                                  refMap(ind, nx, ny, maxShift)))
+                << "correlation map";
+        }
+    }
+}
+
+TEST(CorrelationPacked, FieldWrappersMatchByteLoops) {
+    // The field wrappers sum the integer hits over a slab before their one
+    // normalisation; compare both against the reference on a random field.
+    core::SimBlock b({36, 20, 6});
+    std::mt19937 rng(7);
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    forEachCell(b.phiSrc.withGhosts(), [&](int x, int y, int z) {
+        for (int a = 0; a < N; ++a) b.phiSrc(x, y, z, a) = u(rng);
+    });
+    const int nx = 36, ny = 20, maxShift = 40, z0 = 1, z1 = 4;
+    for (int axis = 0; axis < 2; ++axis) {
+        std::vector<long long> hits(maxShift + 1, 0);
+        for (int z = z0; z <= z1; ++z) {
+            const auto ind = indicatorPlane(b.phiSrc, 1, z);
+            refPlaneHits(ind.data(), nx, ny, axis, maxShift, hits);
+        }
+        std::vector<double> ref(hits.size());
+        const double inv =
+            1.0 / (static_cast<double>(nx) * ny * (z1 - z0 + 1));
+        for (std::size_t r = 0; r < hits.size(); ++r)
+            ref[r] = static_cast<double>(hits[r]) * inv;
+        EXPECT_TRUE(sameBytes(
+            twoPointCorrelation(b.phiSrc, 1, axis, maxShift, z0, z1), ref))
+            << "S2 axis " << axis;
+    }
+    const auto ind = indicatorPlane(b.phiSrc, 1, 2);
+    EXPECT_TRUE(sameBytes(correlationMap2D(b.phiSrc, 1, 2, 25),
+                          refMap(ind.data(), nx, ny, 25)));
 }
 
 TEST(Lamellae, CountsStripesPerSlice) {

@@ -301,6 +301,15 @@ TEST(Vmpi, DefaultTransportIsUsedByPlainRunParallel) {
     });
 }
 
+TEST(Vmpi, ExplicitTransportNameWinsAndUnknownIsAUsageError) {
+    EXPECT_EQ(resolveTransport("shm").kind, TransportKind::Shm);
+    EXPECT_EQ(resolveTransport("thread").kind, TransportKind::Thread);
+    EXPECT_TRUE(resolveTransport("shm").error.empty());
+    EXPECT_EQ(resolveTransport("mpi").error,
+              "unknown --transport 'mpi' (thread, shm)");
+    EXPECT_FALSE(parseTransportName("mpi").has_value());
+}
+
 // ---------------------------------------------------------------------------
 // Dropped-request discipline
 // ---------------------------------------------------------------------------
