@@ -1,9 +1,9 @@
 #include "analysis/lamellae.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "util/assert.h"
 
@@ -39,11 +39,17 @@ private:
 /// Accumulate the parent/child transition counts between two labeled slices.
 void countTransitions(const SliceLabels& prev, const SliceLabels& cur,
                       LamellaStats& st) {
-    std::set<std::pair<int, int>> links;
+    // The distinct (parent, child) links, as a sorted unique vector. Runs of
+    // cells along x mostly repeat the previous link, so those are skipped
+    // before the sort.
+    std::vector<std::pair<int, int>> links;
     for (std::size_t i = 0; i < cur.label.size(); ++i) {
-        if (prev.label[i] >= 0 && cur.label[i] >= 0)
-            links.insert({prev.label[i], cur.label[i]});
+        if (prev.label[i] < 0 || cur.label[i] < 0) continue;
+        const std::pair<int, int> link{prev.label[i], cur.label[i]};
+        if (links.empty() || links.back() != link) links.push_back(link);
     }
+    std::sort(links.begin(), links.end());
+    links.erase(std::unique(links.begin(), links.end()), links.end());
     std::vector<int> children(static_cast<std::size_t>(prev.count), 0);
     std::vector<int> parents(static_cast<std::size_t>(cur.count), 0);
     for (const auto& [p, c] : links) {
@@ -93,15 +99,14 @@ SliceLabels labelPlane(const unsigned char* ind, int nx, int ny) {
 
     SliceLabels out;
     out.label.assign(static_cast<std::size_t>(cells), -1);
-    std::map<int, int> rootToLabel;
+    // Labels in first-seen scan order, through a dense root -> label table.
+    std::vector<int> rootLabel(static_cast<std::size_t>(cells), -1);
     for (int i = 0; i < cells; ++i) {
         if (!ind[static_cast<std::size_t>(i)]) continue;
-        const int root = uf.find(i);
-        auto [it, inserted] =
-            rootToLabel.try_emplace(root, static_cast<int>(rootToLabel.size()));
-        out.label[static_cast<std::size_t>(i)] = it->second;
+        int& label = rootLabel[static_cast<std::size_t>(uf.find(i))];
+        if (label < 0) label = out.count++;
+        out.label[static_cast<std::size_t>(i)] = label;
     }
-    out.count = static_cast<int>(rootToLabel.size());
     return out;
 }
 

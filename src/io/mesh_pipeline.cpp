@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "core/slab_sweep.h"
@@ -18,6 +20,9 @@ namespace tpf::io {
 
 namespace {
 
+/// Weld tolerance of the final stitching weld.
+constexpr double kWeldTol = 1e-7;
+
 /// One canonical extraction chunk: a kSlabHeight z-slab of one local slab,
 /// for one component.
 struct ChunkRef {
@@ -28,19 +33,59 @@ struct ChunkRef {
     int gz0 = 0;    ///< global z of the chunk (the canonical sort key)
     int part = 0;   ///< index into the component list
     TriMesh mesh;
-    double extractSec = 0.0;  ///< busy time of this chunk's extraction
-    double simplifySec = 0.0; ///< busy time of this chunk's simplification
 };
 
-/// Record framing inside the gathered blob: component index, global chunk z
-/// and payload size, then the serializeMesh() bytes. Trivially copyable,
-/// 8-byte fields.
+/// Record framing inside the shipped and the gathered blobs: component
+/// index, global chunk z and payload size, then the serializeMesh() bytes.
+/// Trivially copyable, 8-byte fields.
 struct ChunkHeader {
     std::int64_t part = 0;
     std::int64_t gz0 = 0;
     std::uint64_t bytes = 0;
 };
 static_assert(std::is_trivially_copyable_v<ChunkHeader>);
+
+/// What every rank publishes about each of its non-empty raw chunks before
+/// the simplification plan is made.
+struct ChunkDesc {
+    std::int64_t part = 0;
+    std::int64_t gz0 = 0;
+    std::uint64_t triangles = 0; ///< raw triangle count: the cost estimate
+    std::int64_t owner = 0;      ///< the rank that extracted the chunk
+};
+static_assert(std::is_trivially_copyable_v<ChunkDesc>);
+
+/// Append one (header, serialized mesh) record to \p blob.
+void appendRecord(std::vector<std::byte>& blob, std::int64_t part,
+                  std::int64_t gz0, const TriMesh& mesh) {
+    const std::size_t at = blob.size();
+    blob.resize(at + sizeof(ChunkHeader));
+    appendSerializedMesh(mesh, blob);
+    ChunkHeader h;
+    h.part = part;
+    h.gz0 = gz0;
+    h.bytes = blob.size() - at - sizeof h;
+    std::memcpy(blob.data() + at, &h, sizeof h);
+}
+
+/// Read the record header at \p at of \p blob and advance \p at past the
+/// header; the payload then starts at blob.data() + at.
+ChunkHeader readHeader(const std::vector<std::byte>& blob, std::size_t& at) {
+    TPF_ASSERT(at + sizeof(ChunkHeader) <= blob.size(),
+               "truncated mesh chunk header");
+    ChunkHeader h;
+    std::memcpy(&h, blob.data() + at, sizeof h);
+    at += sizeof h;
+    TPF_ASSERT(at + h.bytes <= blob.size(), "truncated mesh chunk payload");
+    return h;
+}
+
+/// Comm::alltoallBytes, or the identity without a communicator.
+std::vector<std::vector<std::byte>>
+alltoall(vmpi::Comm* comm, std::vector<std::vector<std::byte>> perDest) {
+    if (comm == nullptr) return perDest;
+    return comm->alltoallBytes(std::move(perDest));
+}
 
 /// fn(i) for i in [0, n) over \p pool (nullptr or one thread: in order).
 void fanOut(util::ThreadPool* pool, std::size_t n,
@@ -53,6 +98,148 @@ void fanOut(util::ThreadPool* pool, std::size_t n,
     }
 }
 
+/// Steps 2-4 of the pipeline: publish every non-empty raw chunk, plan the
+/// simplification over all ranks, ship the raw chunks to their assignees,
+/// simplify the assigned ones and append them to \p gatherBlob. Empty
+/// chunks stay with their owner. Returns the wall of the simplification
+/// fan-out.
+double simplifyBalanced(std::vector<ChunkRef>& chunks, vmpi::Comm* comm,
+                        const MeshPipelineOptions& opt,
+                        std::vector<std::byte>& gatherBlob) {
+    const auto nr =
+        static_cast<std::size_t>(comm != nullptr ? comm->size() : 1);
+    const int me = comm != nullptr ? comm->rank() : 0;
+
+    // Step 2: one descriptor list per rank, to every rank.
+    std::vector<ChunkDesc> mine;
+    std::vector<ChunkRef*> mineChunks; // the chunk of each descriptor
+    for (ChunkRef& c : chunks) {
+        if (c.mesh.empty()) {
+            appendRecord(gatherBlob, c.part, c.gz0, c.mesh);
+            continue;
+        }
+        mine.push_back(ChunkDesc{c.part, c.gz0, c.mesh.numTriangles(), me});
+        mineChunks.push_back(&c);
+    }
+    std::vector<std::byte> descBytes(mine.size() * sizeof(ChunkDesc));
+    if (!mine.empty())
+        std::memcpy(descBytes.data(), mine.data(), descBytes.size());
+    const std::vector<std::vector<std::byte>> descs =
+        alltoall(comm, std::vector<std::vector<std::byte>>(nr, descBytes));
+
+    // Step 3: the longest-processing-time plan, computed identically on
+    // every rank: largest chunk first, ties by (component, global z); each
+    // goes to the least-loaded rank, ties to the lowest rank.
+    std::vector<ChunkDesc> all; // rank order, each rank's chunk order
+    std::vector<std::size_t> first(nr); // rank r's first descriptor in all
+    for (std::size_t r = 0; r < nr; ++r) {
+        first[r] = all.size();
+        TPF_ASSERT(descs[r].size() % sizeof(ChunkDesc) == 0,
+                   "mesh chunk descriptor list size mismatch");
+        all.resize(all.size() + descs[r].size() / sizeof(ChunkDesc));
+        if (!descs[r].empty())
+            std::memcpy(all.data() + first[r], descs[r].data(),
+                        descs[r].size());
+    }
+    std::vector<std::size_t> order(all.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        const ChunkDesc& x = all[a];
+        const ChunkDesc& y = all[b];
+        if (x.triangles != y.triangles) return x.triangles > y.triangles;
+        return x.part != y.part ? x.part < y.part : x.gz0 < y.gz0;
+    });
+    std::vector<int> assignee(all.size());
+    std::vector<std::uint64_t> load(nr, 0);
+    for (const std::size_t g : order) {
+        const auto r = static_cast<std::size_t>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        assignee[g] = static_cast<int>(r);
+        load[r] += all[g].triangles;
+    }
+
+    // Step 4: ship the raw chunks this rank does not keep, in plan order,
+    // freeing each once it is serialized (into blobs sized up front, so no
+    // blob ever reallocates).
+    const auto shipped = [&](std::size_t g) -> TriMesh* {
+        if (all[g].owner != me || assignee[g] == me) return nullptr;
+        return &mineChunks[g - first[static_cast<std::size_t>(me)]]->mesh;
+    };
+    std::vector<std::vector<std::byte>> ship(nr);
+    std::vector<std::size_t> shipBytes(nr, 0);
+    for (const std::size_t g : order)
+        if (const TriMesh* m = shipped(g))
+            shipBytes[static_cast<std::size_t>(assignee[g])] +=
+                sizeof(ChunkHeader) + serializedMeshBytes(*m);
+    for (std::size_t r = 0; r < nr; ++r) ship[r].reserve(shipBytes[r]);
+    for (const std::size_t g : order) {
+        if (TriMesh* m = shipped(g)) {
+            appendRecord(ship[static_cast<std::size_t>(assignee[g])],
+                         all[g].part, all[g].gz0, *m);
+            *m = TriMesh{};
+        }
+    }
+    std::vector<std::vector<std::byte>> received =
+        alltoall(comm, std::move(ship));
+
+    // This rank's work list in plan order (largest first): kept chunks
+    // simplify in place, received ones are parsed off their sender's blob
+    // (which holds them in plan order too) inside the fan-out.
+    struct Work {
+        const ChunkDesc* desc = nullptr;
+        TriMesh* mesh = nullptr;           ///< kept chunk, or &own
+        const std::byte* raw = nullptr;    ///< received chunk payload
+        std::size_t rawBytes = 0;
+        TriMesh own;                       ///< received chunk, once parsed
+    };
+    std::vector<Work> work;
+    std::vector<std::size_t> cursor(nr, 0);
+    for (const std::size_t g : order) {
+        if (assignee[g] != me) continue;
+        Work w;
+        w.desc = &all[g];
+        const auto owner = static_cast<std::size_t>(all[g].owner);
+        if (all[g].owner == me) {
+            w.mesh = &mineChunks[g - first[owner]]->mesh;
+        } else {
+            const ChunkHeader h = readHeader(received[owner], cursor[owner]);
+            TPF_ASSERT(h.part == all[g].part && h.gz0 == all[g].gz0,
+                       "shipped mesh chunk out of plan order");
+            w.raw = received[owner].data() + cursor[owner];
+            w.rawBytes = h.bytes;
+            cursor[owner] += h.bytes;
+        }
+        work.push_back(std::move(w));
+    }
+
+    // Still step 4: simplify over the rank's pool. The chunk's open-boundary
+    // vertices — chunk interfaces and domain borders — are locked, so the
+    // interfaces survive bit-exactly for the stitching weld (the paper's
+    // high-weight boundary preservation). The triangle target alone stops
+    // the collapse; the quadric-error bound stays at its unbounded default.
+    const double t0 = perf::now();
+    fanOut(opt.pool, work.size(), [&](std::size_t i) {
+        Work& w = work[i];
+        if (w.mesh == nullptr) {
+            w.own = deserializeMesh(w.raw, w.rawBytes);
+            w.mesh = &w.own;
+        }
+        SimplifyOptions so;
+        so.targetTriangles = static_cast<std::size_t>(
+            std::ceil(std::max(0.0, opt.reduceTarget) *
+                      static_cast<double>(w.mesh->numTriangles())));
+        so.lockOpenBoundary = true;
+        simplifyMesh(*w.mesh, so);
+    });
+    const double wall = perf::now() - t0;
+    received.clear();
+    for (Work& w : work) {
+        appendRecord(gatherBlob, w.desc->part, w.desc->gz0, *w.mesh);
+        *w.mesh = TriMesh{};
+    }
+    return wall;
+}
+
 } // namespace
 
 std::vector<TriMesh> stitchIsoSurface(const std::vector<MeshLocalSlab>& slabs,
@@ -60,14 +247,12 @@ std::vector<TriMesh> stitchIsoSurface(const std::vector<MeshLocalSlab>& slabs,
                                       vmpi::Comm* comm,
                                       const MeshPipelineOptions& opt,
                                       MeshPipelineTimings* timings) {
+    const double tStart = perf::now();
     // Canonical chunking: every slab interior splits into the same fixed
     // kSlabHeight z-slabs the kernel sweeps use. The partition is a function
     // of the interval alone, so with block z-splits aligned to the slab grid
     // the chunk set — and every chunk's input — is identical in any
     // ranks x threads decomposition.
-    // Components vary fastest, so the pool starts on the bottom chunks of
-    // every component first — where the solid, and with it most of the
-    // surface, sits — and the cheap chunks fill in the tail of the fan-out.
     std::vector<ChunkRef> chunks;
     for (const MeshLocalSlab& s : slabs) {
         TPF_ASSERT(s.field != nullptr && s.field->ghost() >= 1,
@@ -88,75 +273,50 @@ std::vector<TriMesh> stitchIsoSurface(const std::vector<MeshLocalSlab>& slabs,
         }
     }
 
-    // Stages 1 + 2, one fan-out over every component x chunk: extraction
-    // (lateral self-wrap + z ghosts, welded), then the in-situ data
-    // reduction. The chunk's open-boundary vertices — chunk interfaces and
-    // domain borders — are locked, so the interfaces survive bit-exactly for
-    // the stitching weld (the paper's high-weight boundary preservation).
-    double t0 = perf::now();
+    // Step 1, one fan-out over every component x chunk of this rank:
+    // extraction (lateral self-wrap + z ghosts, welded).
+    const double t0 = perf::now();
     fanOut(opt.pool, chunks.size(), [&](std::size_t i) {
         ChunkRef& c = chunks[i];
-        const double start = perf::now();
         c.mesh = extractIsoSurfaceWrapXY(
             *c.field, components[static_cast<std::size_t>(c.part)], opt.iso,
             Vec3{static_cast<double>(c.origin.x),
                  static_cast<double>(c.origin.y),
                  static_cast<double>(c.origin.z)},
             c.lz0, c.lz1);
-        const double extracted = perf::now();
-        c.extractSec = extracted - start;
-        if (opt.reduceTarget >= 1.0 || c.mesh.empty()) return;
-        SimplifyOptions so;
-        so.targetTriangles = static_cast<std::size_t>(
-            std::ceil(std::max(0.0, opt.reduceTarget) *
-                      static_cast<double>(c.mesh.numTriangles())));
-        so.maxError = opt.maxError;
-        so.lockOpenBoundary = true;
-        simplifyMesh(c.mesh, so);
-        c.simplifySec = perf::now() - extracted;
     });
-    if (timings != nullptr) {
-        const double wall = perf::now() - t0;
-        double extractBusy = 0.0, simplifyBusy = 0.0;
-        for (const ChunkRef& c : chunks) {
-            extractBusy += c.extractSec;
-            simplifyBusy += c.simplifySec;
-        }
-        const double busy = extractBusy + simplifyBusy;
-        const double extractShare = busy > 0.0 ? extractBusy / busy : 1.0;
-        timings->extractSec += wall * extractShare;
-        timings->simplifySec += wall * (1.0 - extractShare);
-    }
+    const double extractWall = perf::now() - t0;
 
-    // Stage 3: serialize in (component, ascending global-z) order, one
-    // rank-ordered gather for all components, canonical stitch on root.
-    t0 = perf::now();
-    std::stable_sort(chunks.begin(), chunks.end(),
-                     [](const ChunkRef& a, const ChunkRef& b) {
-                         return a.part != b.part ? a.part < b.part
-                                                 : a.gz0 < b.gz0;
-                     });
+    // Steps 2-4: the in-situ data reduction, balanced over every rank.
+    // Simplification is a pure function of the raw chunk mesh, so where a
+    // chunk is simplified never changes its bytes.
     std::vector<std::byte> blob;
-    for (const ChunkRef& c : chunks) {
-        const std::vector<std::byte> payload = serializeMesh(c.mesh);
-        ChunkHeader h;
-        h.part = c.part;
-        h.gz0 = c.gz0;
-        h.bytes = payload.size();
-        const std::size_t at = blob.size();
-        blob.resize(at + sizeof h + payload.size());
-        std::memcpy(blob.data() + at, &h, sizeof h);
-        std::memcpy(blob.data() + at + sizeof h, payload.data(),
-                    payload.size());
+    double simplifyWall = 0.0;
+    if (opt.reduceTarget < 1.0) {
+        simplifyWall = simplifyBalanced(chunks, comm, opt, blob);
+    } else {
+        for (ChunkRef& c : chunks) {
+            appendRecord(blob, c.part, c.gz0, c.mesh);
+            c.mesh = TriMesh{};
+        }
     }
     chunks.clear();
+    const auto addTimings = [&] {
+        if (timings == nullptr) return;
+        timings->extractSec += extractWall;
+        timings->simplifySec += simplifyWall;
+        timings->gatherSec +=
+            perf::now() - tStart - extractWall - simplifyWall;
+    };
 
+    // Step 5: one rank-ordered gather for all components, canonical stitch
+    // on root.
     std::vector<TriMesh> stitched(components.size());
     std::vector<std::vector<std::byte>> perRank;
     if (comm != nullptr && comm->size() > 1) {
         perRank = comm->gatherAllBytes(blob);
         if (!comm->isRoot()) {
-            if (timings != nullptr) timings->gatherSec += perf::now() - t0;
+            addTimings();
             return stitched;
         }
     } else {
@@ -166,28 +326,19 @@ std::vector<TriMesh> stitchIsoSurface(const std::vector<MeshLocalSlab>& slabs,
     // Parse every rank's records and append each component's chunks in
     // ascending global-z order. Chunk z keys are unique per component
     // (z-only decomposition), so the sort makes the triangle stream
-    // independent of which rank produced which chunk.
+    // independent of which rank simplified which chunk.
     std::vector<std::vector<std::pair<std::int64_t, TriMesh>>> parts(
         components.size());
     for (const std::vector<std::byte>& rankBlob : perRank) {
         std::size_t at = 0;
         while (at < rankBlob.size()) {
-            TPF_ASSERT(at + sizeof(ChunkHeader) <= rankBlob.size(),
-                       "truncated mesh chunk header");
-            ChunkHeader h;
-            std::memcpy(&h, rankBlob.data() + at, sizeof h);
-            at += sizeof h;
+            const ChunkHeader h = readHeader(rankBlob, at);
             TPF_ASSERT(h.part >= 0 &&
                            static_cast<std::size_t>(h.part) < parts.size(),
                        "mesh chunk component out of range");
-            TPF_ASSERT(at + h.bytes <= rankBlob.size(),
-                       "truncated mesh chunk payload");
-            std::vector<std::byte> payload(
-                rankBlob.begin() + static_cast<std::ptrdiff_t>(at),
-                rankBlob.begin() + static_cast<std::ptrdiff_t>(at + h.bytes));
-            at += h.bytes;
             parts[static_cast<std::size_t>(h.part)].emplace_back(
-                h.gz0, deserializeMesh(payload));
+                h.gz0, deserializeMesh(rankBlob.data() + at, h.bytes));
+            at += h.bytes;
         }
     }
     fanOut(opt.pool, parts.size(), [&](std::size_t k) {
@@ -197,9 +348,9 @@ std::vector<TriMesh> stitchIsoSurface(const std::vector<MeshLocalSlab>& slabs,
                              return a.first < b.first;
                          });
         for (auto& [gz0, part] : list) stitched[k].append(part);
-        stitched[k].weldVertices(opt.weldTol); // the final boundary weld
+        stitched[k].weldVertices(kWeldTol); // the final boundary weld
     });
-    if (timings != nullptr) timings->gatherSec += perf::now() - t0;
+    addTimings();
     return stitched;
 }
 

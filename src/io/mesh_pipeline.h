@@ -17,15 +17,27 @@
 ///  - per-chunk simplification locks the chunk's open-boundary vertices
 ///    (the paper's high-weight boundary trick), so chunk interfaces survive
 ///    bit-exactly for the final weld;
+///  - chunk simplification is a pure function of the raw chunk mesh, so
+///    the rank that simplifies a chunk never changes its bytes;
 ///  - root appends each component's gathered chunks in ascending global-z
-///    order — the rank-ordered gatherAllBytes already delivers them that
-///    way, and the explicit sort makes the order independent of the rank
-///    count — and runs one final boundary weld per component.
-/// Thread parallelism fans all components x chunks over the rank's
-/// self-scheduling pool in one call, and root's per-component stitches in a
-/// second; results land in preallocated slots, so the thread count never
-/// changes the output. Bitwise invariance across *rank counts* additionally
-/// needs the block z-splits aligned to the kSlabHeight grid (true for every
+///    order — an explicit sort, so the order is independent of which rank
+///    simplified which chunk — and runs one final boundary weld per
+///    component.
+/// The work spreads over every rank, not just the ones holding surface:
+///  1. every rank extracts its own chunks (one fan-out over its pool);
+///  2. the ranks exchange one descriptor list each — (component, global z,
+///     raw triangle count, owner) per non-empty chunk;
+///  3. every rank computes the same longest-processing-time plan: chunks
+///     largest first, ties by (component, global z), each to the least-
+///     loaded rank, ties to the lowest rank;
+///  4. owners ship the raw chunks they do not keep to their assignees, and
+///     every rank simplifies its assigned chunks, largest first, over its
+///     pool (both exchanges are vmpi::Comm::alltoallBytes);
+///  5. one rank-ordered gather and root's per-component stitches (a second
+///     fan-out) finish the frame.
+/// Results land in preallocated slots, so the thread count never changes
+/// the output. Bitwise invariance across *rank counts* additionally needs
+/// the block z-splits aligned to the kSlabHeight grid (true for every
 /// production z-slab split with nz % 8 == 0 per rank).
 
 #include <memory>
@@ -45,18 +57,14 @@ struct MeshPipelineOptions {
     /// ceil(reduceTarget * chunk triangles) with its open boundary locked.
     /// 1.0 (or anything >= 1) disables simplification.
     double reduceTarget = 0.25;
-    /// Quadric-error bound forwarded to simplifyMesh.
-    double maxError = 1e300;
-    /// Weld tolerance for the per-chunk and final stitching welds.
-    double weldTol = 1e-7;
     /// Chunk fan-out pool (nullptr: serial). Never changes the result.
     util::ThreadPool* pool = nullptr;
 };
 
-/// Wall-clock seconds per pipeline stage, accumulated over calls. Extraction
-/// and simplification share one fan-out; its wall is split between the two
-/// in proportion to their summed per-chunk busy time. gather includes the
-/// serialization and the root-side stitch.
+/// Wall-clock seconds per pipeline stage, accumulated over calls:
+/// extraction and simplification are the walls of their two fan-outs on
+/// this rank; gather is the rest of the call (the descriptor exchange, the
+/// chunk shipping, serialization, the gather and the root-side stitch).
 struct MeshPipelineTimings {
     double extractSec = 0.0;
     double simplifySec = 0.0;
@@ -71,8 +79,9 @@ struct MeshLocalSlab {
 };
 
 /// Collective: extract the global iso-surface of every component in
-/// \p components from the rank-local slabs, simplify each chunk in situ,
-/// gather rank-ordered (one gather for all components) and stitch on root.
+/// \p components from the rank-local slabs, simplify each chunk in situ on
+/// the rank the plan assigns it to, gather rank-ordered (one gather for all
+/// components) and stitch on root.
 /// Returns one stitched mesh per component, in \p components order, on root
 /// (empty meshes elsewhere). Every rank must pass its own slabs and the same
 /// components and options.

@@ -7,12 +7,17 @@
 
 namespace tpf::io {
 
-std::vector<std::byte> serializeMesh(const TriMesh& m) {
+std::size_t serializedMeshBytes(const TriMesh& m) {
+    return 2 * sizeof(std::size_t) + m.vertices.size() * sizeof(Vec3) +
+           m.triangles.size() * sizeof(std::array<int, 3>);
+}
+
+void appendSerializedMesh(const TriMesh& m, std::vector<std::byte>& out) {
     const std::size_t nv = m.vertices.size();
     const std::size_t nt = m.triangles.size();
-    std::vector<std::byte> buf(2 * sizeof(std::size_t) + nv * sizeof(Vec3) +
-                               nt * sizeof(std::array<int, 3>));
-    std::byte* p = buf.data();
+    const std::size_t at = out.size();
+    out.resize(at + serializedMeshBytes(m));
+    std::byte* p = out.data() + at;
     std::memcpy(p, &nv, sizeof(nv));
     p += sizeof(nv);
     std::memcpy(p, &nt, sizeof(nt));
@@ -23,20 +28,25 @@ std::vector<std::byte> serializeMesh(const TriMesh& m) {
     p += nv * sizeof(Vec3);
     if (nt > 0)
         std::memcpy(p, m.triangles.data(), nt * sizeof(std::array<int, 3>));
+}
+
+std::vector<std::byte> serializeMesh(const TriMesh& m) {
+    std::vector<std::byte> buf;
+    appendSerializedMesh(m, buf);
     return buf;
 }
 
-TriMesh deserializeMesh(const std::vector<std::byte>& buf) {
+TriMesh deserializeMesh(const std::byte* data, std::size_t bytes) {
     TriMesh m;
-    TPF_ASSERT(buf.size() >= 2 * sizeof(std::size_t), "mesh message too short");
-    const std::byte* p = buf.data();
+    TPF_ASSERT(bytes >= 2 * sizeof(std::size_t), "mesh message too short");
+    const std::byte* p = data;
     std::size_t nv = 0, nt = 0;
     std::memcpy(&nv, p, sizeof(nv));
     p += sizeof(nv);
     std::memcpy(&nt, p, sizeof(nt));
     p += sizeof(nt);
-    TPF_ASSERT(buf.size() == 2 * sizeof(std::size_t) + nv * sizeof(Vec3) +
-                                 nt * sizeof(std::array<int, 3>),
+    TPF_ASSERT(bytes == 2 * sizeof(std::size_t) + nv * sizeof(Vec3) +
+                            nt * sizeof(std::array<int, 3>),
                "mesh message size mismatch");
     m.vertices.resize(nv);
     m.triangles.resize(nt);
@@ -45,6 +55,10 @@ TriMesh deserializeMesh(const std::vector<std::byte>& buf) {
     if (nt > 0)
         std::memcpy(m.triangles.data(), p, nt * sizeof(std::array<int, 3>));
     return m;
+}
+
+TriMesh deserializeMesh(const std::vector<std::byte>& buf) {
+    return deserializeMesh(buf.data(), buf.size());
 }
 
 void coarsenPreservingPlanes(TriMesh& mesh, const ReductionOptions& opt,

@@ -22,9 +22,15 @@ struct ReductionOptions {
     double maxError = 1e300;
 };
 
-/// Serialize / deserialize for the gather messages.
+/// Serialize / deserialize for the gather messages. appendSerializedMesh
+/// writes the serializeMesh() bytes onto the end of \p out, and
+/// serializedMeshBytes is their count; the pointer overload of
+/// deserializeMesh parses one record inside a larger blob.
 std::vector<std::byte> serializeMesh(const TriMesh& m);
+std::size_t serializedMeshBytes(const TriMesh& m);
+void appendSerializedMesh(const TriMesh& m, std::vector<std::byte>& out);
 TriMesh deserializeMesh(const std::vector<std::byte>& buf);
+TriMesh deserializeMesh(const std::byte* data, std::size_t bytes);
 
 /// Coarsen \p mesh while pinning vertices on the given axis-aligned boundary
 /// planes (block/rank boundaries): x = planesX[i], etc.

@@ -258,12 +258,12 @@ void ruleCollectiveInConditional(const ScannedFile& f,
     static const std::regex rankCondRe(
         R"(isRoot\s*\(|\b\w*[Rr]ank\w*\s*(\(\s*\))?\s*[=!]=|[=!]=\s*\w*[Rr]ank\b)");
     static const std::regex ifRe(R"((^|[^\w])(if|while)\s*\()");
-    // Covers the Comm surface (barrier/allreduce*/gather*/bcast/allAgree)
-    // AND the Transport vtable spellings (t->barrier()), so code talking to
-    // the transport layer directly cannot smuggle a collective into a rank
-    // branch either. postRecv/waitRecv are point-to-point, not collectives.
+    // Covers the Comm surface (barrier/allreduce*/gather*/alltoallBytes/
+    // bcast/allAgree) AND the Transport vtable spellings (t->barrier()), so
+    // code talking to the transport layer directly cannot smuggle a
+    // collective into a rank branch either. postRecv/waitRecv are point-to-point, not collectives.
     static const std::regex collRe(
-        R"((^|[^\w.]|\.|->)(barrier|allreduce(?:Sum|Min|Max|SumLL)?|gather|gatherAllBytes|bcast|allAgree|nextCollectiveSeq)\s*\()");
+        R"((^|[^\w.]|\.|->)(barrier|allreduce(?:Sum|Min|Max|SumLL)?|gather|gatherAllBytes|alltoallBytes|bcast|allAgree|nextCollectiveSeq)\s*\()");
 
     // Brace-depth bookkeeping: depths at which a rank-conditional block is
     // open. `pending` covers the region between the rank-`if` and its `{`

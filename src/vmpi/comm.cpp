@@ -120,6 +120,29 @@ Comm::gatherAllBytes(const std::vector<std::byte>& mine) {
     return {};
 }
 
+std::vector<std::vector<std::byte>>
+Comm::alltoallBytes(std::vector<std::vector<std::byte>> perDest) {
+    const int seq = transport_->nextCollectiveSeq();
+    const int tagAlltoall = collectiveTag(seq, 0);
+    const int n = size();
+    const int me = rank();
+    TPF_ASSERT(perDest.size() == static_cast<std::size_t>(n),
+               "alltoallBytes needs one blob per rank");
+    // Sends are buffered, so every rank sends all its blobs first and then
+    // receives: no ordering between ranks can deadlock.
+    for (int d = 0; d < n; ++d)
+        if (d != me)
+            transport_->sendOwned(
+                d, tagAlltoall,
+                std::move(perDest[static_cast<std::size_t>(d)]));
+    std::vector<std::vector<std::byte>> perSrc(static_cast<std::size_t>(n));
+    perSrc[static_cast<std::size_t>(me)] =
+        std::move(perDest[static_cast<std::size_t>(me)]);
+    for (int s = 0; s < n; ++s)
+        if (s != me) recv(s, tagAlltoall, perSrc[static_cast<std::size_t>(s)]);
+    return perSrc;
+}
+
 void Comm::bcastBytes(void* data, std::size_t bytes) {
     const int seq = transport_->nextCollectiveSeq();
     const int tagBcast = collectiveTag(seq, 1);

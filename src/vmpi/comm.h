@@ -190,6 +190,17 @@ public:
     std::vector<std::vector<std::byte>>
     gatherAllBytes(const std::vector<std::byte>& mine);
 
+    /// Personalized all-to-all of variable-length byte blobs: \p perDest
+    /// holds one blob per rank (size() entries, empty ones included, the
+    /// own entry is handed back without a copy); returns the blob every
+    /// rank addressed to this one, indexed by source rank. Collective. Each
+    /// outgoing blob is handed to the transport (Transport::sendOwned), so
+    /// the caller's copy is gone once it is sent. The mesh pipeline ships
+    /// its chunk descriptors and raw chunks with it
+    /// (src/io/mesh_pipeline.cpp).
+    std::vector<std::vector<std::byte>>
+    alltoallBytes(std::vector<std::vector<std::byte>> perDest);
+
     /// Broadcast a trivially copyable value from root.
     template <typename T>
     T bcast(T v) {

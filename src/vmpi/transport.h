@@ -88,6 +88,14 @@ public:
     virtual void send(int dst, int tag, const void* data,
                       std::size_t bytes) = 0;
 
+    /// Buffered send that takes over \p data (left empty). The default
+    /// copies like send() and frees the buffer; the thread backend, whose
+    /// messages are byte vectors anyway, moves it instead.
+    virtual void sendOwned(int dst, int tag, std::vector<std::byte>&& data) {
+        send(dst, tag, data.data(), data.size());
+        std::vector<std::byte>().swap(data);
+    }
+
     /// Blocking receive of the next message matching (src, tag).
     virtual void recv(int src, int tag, std::vector<std::byte>& out) = 0;
 

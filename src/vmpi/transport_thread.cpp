@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -177,12 +176,17 @@ public:
 
     void send(int dst, int tag, const void* data,
               std::size_t bytes) override {
+        const auto* p = static_cast<const std::byte*>(data);
+        sendOwned(dst, tag, std::vector<std::byte>(p, p + bytes));
+    }
+
+    void sendOwned(int dst, int tag,
+                   std::vector<std::byte>&& data) override {
         TPF_ASSERT(dst >= 0 && dst < size_, "invalid destination rank");
         Message m;
         m.src = rank_;
         m.tag = tag;
-        m.data.resize(bytes);
-        if (bytes > 0) std::memcpy(m.data.data(), data, bytes);
+        m.data = std::move(data);
         world_->mailbox(dst).push(std::move(m));
     }
 

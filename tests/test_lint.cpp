@@ -260,6 +260,16 @@ TEST(LintCollective, FlagsAllAgreeAndTransportVtableSpellings) {
               1u);
 }
 
+TEST(LintCollective, FlagsAlltoallBytesInsideRootBranch) {
+    const auto fs = lintSource("src/io/m.cpp",
+                               "if (comm.isRoot()) {\n"
+                               "    auto in = comm.alltoallBytes(out);\n"
+                               "}\n");
+    ASSERT_EQ(fs.size(), 1u);
+    EXPECT_EQ(fs[0].rule, "collective-in-conditional");
+    EXPECT_EQ(fs[0].line, 2);
+}
+
 TEST(LintCollective, PointToPointTransportCallsAreNotCollectives) {
     // postRecv/waitRecv are (source, tag) point-to-point — rank-conditional
     // use is the normal asymmetric pattern, not a deadlock.

@@ -695,5 +695,42 @@ TEST(MeshPipeline, StitchedMeshIsBitwiseRankAndThreadInvariant) {
     }
 }
 
+TEST(MeshPipeline, SurfaceOnOneNonRootRankMatchesTheSingleRankMesh) {
+    // Uneven ownership: a 32x32x64 box in four 16-plane z-slabs, with the
+    // surface of both components inside rank 2's slab and spanning both of
+    // its chunks. The plan ships rank 2's raw chunks to the idle ranks, and
+    // the stitched meshes must still equal the single-rank ones bit for bit.
+    const auto fill = [](Field<double>& f, double zBase) {
+        fillSphere(f, 0, {16, 16, 40}, 6.0, {0, 0, zBase});
+        fillSphere(f, 1, {9, 22, 39}, 4.0, {0, 0, zBase});
+    };
+    MeshPipelineOptions opt; // reduceTarget 0.25
+
+    Field<double> whole(32, 32, 64, 2, 1, Layout::fzyx);
+    fill(whole, 0.0);
+    const std::vector<TriMesh> reference = stitchIsoSurface(
+        {MeshLocalSlab{&whole, Int3{0, 0, 0}}}, {0, 1}, nullptr, opt);
+    ASSERT_EQ(reference.size(), 2u);
+    for (const TriMesh& m : reference) ASSERT_GT(m.numTriangles(), 50u);
+
+    std::vector<std::vector<std::byte>> split;
+    vmpi::runParallel(4, [&](vmpi::Comm& comm) {
+        const int zBase = 16 * comm.rank();
+        Field<double> f(32, 32, 16, 2, 1, Layout::fzyx);
+        fill(f, static_cast<double>(zBase));
+        util::ThreadPool pool(4);
+        MeshPipelineOptions popt = opt;
+        popt.pool = &pool;
+        const std::vector<TriMesh> meshes = stitchIsoSurface(
+            {MeshLocalSlab{&f, Int3{0, 0, zBase}}}, {0, 1}, &comm, popt);
+        if (!comm.isRoot()) return;
+        for (const TriMesh& m : meshes) split.push_back(serializeMesh(m));
+    });
+    ASSERT_EQ(split.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k)
+        EXPECT_TRUE(split[k] == serializeMesh(reference[k]))
+            << "component " << k << " depends on where its chunks simplify";
+}
+
 } // namespace
 } // namespace tpf::io

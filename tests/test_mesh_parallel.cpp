@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -84,9 +85,12 @@ analysis::MeshObserver::Options meshOptions(const std::string& dir,
 }
 
 /// Run the solidify scenario with the mesh observer streaming into \p dir;
-/// returns root's final window offset (for the shift assertion).
+/// returns root's final window offset (for the shift assertion). A nonzero
+/// \p shuffleSeed runs the ranks over the thread transport with randomized
+/// delivery.
 double runWithMeshObserver(const core::SolverConfig& cfg, int ranks,
-                           int steps, int every, const std::string& dir) {
+                           int steps, int every, const std::string& dir,
+                           std::uint64_t shuffleSeed = 0) {
     double windowOffset = -1.0;
     auto body = [&](vmpi::Comm* comm) {
         core::Solver solver(cfg, comm);
@@ -101,6 +105,9 @@ double runWithMeshObserver(const core::SolverConfig& cfg, int ranks,
     };
     if (ranks == 1)
         body(nullptr);
+    else if (shuffleSeed != 0)
+        vmpi::runParallelThreadShuffled(
+            shuffleSeed, ranks, [&](vmpi::Comm& comm) { body(&comm); });
     else
         vmpi::runParallel(ranks, [&](vmpi::Comm& comm) { body(&comm); });
     return windowOffset;
@@ -141,6 +148,26 @@ TEST(MeshRankInvariance, IndexAndObjFramesBitwiseIdenticalAcrossRanksAndThreads)
             }
         }
     }
+}
+
+TEST(MeshRankInvariance, ShuffledDeliveryLeavesTheArtifactsUnchanged) {
+    // The pipeline's chunk descriptors, shipped raw chunks and gather under
+    // randomized message delivery (fixed seed): 4 ranks x 4 threads must
+    // still write the single-rank artifacts.
+    TempDir dir("shuffled");
+    const fs::path ref = dir.path / "ref";
+    const fs::path shuffled = dir.path / "shuffled";
+    runWithMeshObserver(meshConfig(1, 1), 1, /*steps=*/16, /*every=*/4,
+                        ref.string());
+    runWithMeshObserver(meshConfig(4, 4), 4, /*steps=*/16, /*every=*/4,
+                        shuffled.string(), /*shuffleSeed=*/9173);
+    const std::map<std::string, std::string> expect = readArtifacts(ref);
+    const std::map<std::string, std::string> got = readArtifacts(shuffled);
+    ASSERT_EQ(got.size(), 16u);
+    ASSERT_EQ(got.size(), expect.size());
+    for (const auto& [name, bytes] : expect)
+        EXPECT_TRUE(got.at(name) == bytes)
+            << name << " diverged under shuffled delivery";
 }
 
 TEST(MeshRankInvariance, RestartLeavesTheArtifactsOfAnUninterruptedRun) {

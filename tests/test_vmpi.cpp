@@ -226,6 +226,43 @@ TEST_P(VmpiTransport, GatherAllBytesKeepsRankOrderAndSizes) {
     });
 }
 
+/// Blob rank \p src addresses to rank \p dst in round \p round of the
+/// alltoallBytes tests: size and contents depend on all three, and about a
+/// third of the pairs (self-sends included) are empty.
+std::vector<std::byte> alltoallBlob(int src, int dst, int round) {
+    const std::size_t n =
+        (src + 2 * dst + round) % 3 == 0
+            ? 0
+            : static_cast<std::size_t>(1 + 7 * src + 3 * dst + round);
+    return std::vector<std::byte>(
+        n, static_cast<std::byte>(16 * src + dst + round));
+}
+
+/// One alltoallBytes round, checked on the receiving rank.
+void checkAlltoallRound(Comm& c, int round) {
+    const auto n = static_cast<std::size_t>(c.size());
+    std::vector<std::vector<std::byte>> out(n);
+    for (int d = 0; d < c.size(); ++d)
+        out[static_cast<std::size_t>(d)] = alltoallBlob(c.rank(), d, round);
+    const auto in = c.alltoallBytes(std::move(out));
+    ASSERT_EQ(in.size(), n);
+    for (int s = 0; s < c.size(); ++s)
+        EXPECT_TRUE(in[static_cast<std::size_t>(s)] ==
+                    alltoallBlob(s, c.rank(), round))
+            << "rank " << c.rank() << " got a wrong blob from rank " << s
+            << " in round " << round;
+}
+
+TEST_P(VmpiTransport, AlltoallBytesDeliversEveryPairIncludingEmptyAndSelf) {
+    for (const int nranks : {1, 3, 4}) {
+        SCOPED_TRACE("ranks=" + std::to_string(nranks));
+        run(nranks, [](Comm& c) {
+            for (int round = 0; round < 3; ++round)
+                checkAlltoallRound(c, round);
+        });
+    }
+}
+
 TEST_P(VmpiTransport, BcastDistributesRootValue) {
     run(4, [](Comm& c) {
         double v = c.isRoot() ? 42.5 : 0.0;
@@ -458,6 +495,34 @@ TEST(VmpiShuffled, RepeatedGatherAllBytesDoNotCrossMatch) {
                 }
             }
         });
+    }
+}
+
+/// The mesh pipeline's traffic shape: two alltoallBytes back to back (the
+/// chunk descriptors, then the raw chunks) and a gatherAllBytes, repeated
+/// per frame, with empty blobs and self-sends. None of them may cross-match
+/// under randomized delivery, on 1, 3 or 4 ranks.
+TEST(VmpiShuffled, BackToBackAlltoallBytesDoNotCrossMatch) {
+    for (const std::uint64_t seed : {5ull, 77ull, 2024ull}) {
+        for (const int nranks : {1, 3, 4}) {
+            SCOPED_TRACE("seed=" + std::to_string(seed) +
+                         " ranks=" + std::to_string(nranks));
+            runParallelThreadShuffled(seed, nranks, [](Comm& c) {
+                for (int round = 0; round < 6; ++round) {
+                    checkAlltoallRound(c, 2 * round);
+                    checkAlltoallRound(c, 2 * round + 1);
+                    const auto all =
+                        c.gatherAllBytes(alltoallBlob(c.rank(), 0, round));
+                    if (c.isRoot()) {
+                        ASSERT_EQ(all.size(),
+                                  static_cast<std::size_t>(c.size()));
+                        for (int r = 0; r < c.size(); ++r)
+                            EXPECT_TRUE(all[static_cast<std::size_t>(r)] ==
+                                        alltoallBlob(r, 0, round));
+                    }
+                }
+            });
+        }
     }
 }
 
