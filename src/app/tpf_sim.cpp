@@ -483,9 +483,8 @@ int main(int argc, char** argv) {
         cli.getFlag("window", "enable the moving window (solidify only)");
     const std::string kernelFlag = cli.getString(
         "kernel", "",
-        "kernel spec [schedule:]target — schedule split|fused, target "
-        "auto|scalar|sse2|avx2|avx512 (default: $TPF_KERNEL, else "
-        "split:auto); results are bitwise identical across specs");
+        "kernel target auto|scalar|sse2|avx2|avx512 (default: $TPF_KERNEL, "
+        "else auto); results are bitwise identical across targets");
     const bool listKernels = cli.getFlag(
         "list-kernels", "list the compiled-in dispatch targets and exit");
 
@@ -495,6 +494,14 @@ int main(int argc, char** argv) {
     }
     if (!cli.finish()) return 2;
 
+    // --kernel beats TPF_KERNEL beats the widest target this CPU supports.
+    const core::KernelChoice kernel = core::resolveKernelTarget(kernelFlag);
+    if (!kernel.error.empty()) {
+        std::fprintf(stderr, "%s\n", kernel.error.c_str());
+        return 2;
+    }
+    core::setKernelTarget(kernel.target->name);
+
     if (listKernels) {
         const auto targets = core::availableKernelTargets();
         std::printf("available kernel targets (narrowest first):\n");
@@ -502,7 +509,6 @@ int main(int argc, char** argv) {
             std::printf("  %-8s %d-wide multi-cell sweeps%s\n", t->name,
                         t->width,
                         t == core::activeKernelTarget() ? "  [active]" : "");
-        std::printf("schedules: split (default), fused\n");
         return 0;
     }
 
@@ -564,32 +570,6 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    // Kernel selection: --kernel beats TPF_KERNEL beats the auto-detected
-    // widest target. An explicit --kernel naming an unsupported target is a
-    // hard error; an unsupported TPF_KERNEL falls back with a warning (the
-    // results are bitwise identical either way).
-    std::string kernelSpecStr = kernelFlag;
-    const bool kernelExplicit = !kernelSpecStr.empty();
-    if (kernelSpecStr.empty())
-        if (const char* env = std::getenv("TPF_KERNEL")) kernelSpecStr = env;
-    if (!kernelSpecStr.empty()) {
-        core::KernelSpec ks;
-        std::string err;
-        if (!core::parseKernelSpec(kernelSpecStr, ks, err)) {
-            std::fprintf(stderr, "tpf-sim: %s\n", err.c_str());
-            return 2;
-        }
-        if (!core::setKernelTarget(ks.target)) {
-            std::fprintf(stderr,
-                         "tpf-sim: kernel target '%s' is not available on "
-                         "this CPU (see --list-kernels)%s\n",
-                         ks.target.c_str(),
-                         kernelExplicit ? "" : "; TPF_KERNEL target ignored");
-            if (kernelExplicit) return 2;
-        }
-        cfg.schedule = ks.schedule;
-    }
-
     if (opt.ranks > 1 && !blockGiven) {
         if (size.z % opt.ranks != 0) {
             std::fprintf(stderr,
@@ -600,15 +580,6 @@ int main(int argc, char** argv) {
         block = {size.x, size.y, size.z / opt.ranks};
     }
     cfg.blockSize = block;
-    if (cfg.schedule == core::SweepSchedule::Fused && blockGiven &&
-        (block.x != size.x || block.y != size.y)) {
-        std::fprintf(stderr,
-                     "tpf-sim: the fused schedule needs blocks spanning the "
-                     "full x/y extent (z-split only); got block %d,%d,%d for "
-                     "domain %d,%d,%d\n",
-                     block.x, block.y, block.z, size.x, size.y, size.z);
-        return 2;
-    }
 
     if (!opt.restart.empty()) {
         // Fail fast, before spawning ranks, when the checkpoint does not
@@ -871,15 +842,13 @@ int main(int argc, char** argv) {
                 "%d rank(s) x %d thread(s)\n"
                 "         G=%.3f K/cell  v=%.4f cells/t  overlap=%s%s  "
                 "transport=%s\n"
-                "         kernel=%s (%d-wide)  schedule=%s\n\n",
+                "         kernel=%s (%d-wide)\n\n",
                 opt.scenario.c_str(), size.x, size.y, size.z, opt.steps,
                 opt.ranks, threads, gradient, velocity, overlap.c_str(),
                 window ? "  moving-window" : "",
                 opt.ranks == 1 ? "(serial)" : vmpi::transportName(transport),
                 core::activeKernelTarget()->name,
-                core::activeKernelTarget()->width,
-                cfg.schedule == core::SweepSchedule::Fused ? "fused"
-                                                           : "split");
+                core::activeKernelTarget()->width);
 
     try {
         if (opt.ranks == 1) {

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "util/assert.h"
+
 namespace tpf::core {
 
 namespace {
@@ -31,24 +33,23 @@ const KernelTarget* widestAvailable() {
     return all.back(); // narrowest first; scalar guarantees non-empty
 }
 
-/// Mutable selection + one-time TPF_KERNEL resolution.
-const KernelTarget*& selection() {
-    static const KernelTarget* sel = [] {
-        const KernelTarget* def = widestAvailable();
-        if (const char* env = std::getenv("TPF_KERNEL")) {
-            KernelSpec spec;
-            std::string err;
-            if (parseKernelSpec(env, spec, err) && spec.target != "auto") {
-                for (const KernelTarget* t : availableKernelTargets())
-                    if (spec.target == t->name) return t;
-                // Unsupported on this machine: fall through to the default
-                // rather than aborting — results are bitwise identical
-                // across targets anyway.
-            }
-        }
-        return def;
+const KernelTarget* findAvailable(const std::string& name) {
+    for (const KernelTarget* t : availableKernelTargets())
+        if (name == t->name) return t;
+    return nullptr;
+}
+
+/// The last setKernelTarget() choice; null until the first call.
+const KernelTarget* g_selected = nullptr;
+
+/// The TPF_KERNEL default, resolved once on first use.
+const KernelTarget* startupTarget() {
+    static const KernelTarget* const target = [] {
+        const KernelChoice c = resolveKernelTarget("");
+        TPF_ASSERT(c.error.empty(), c.error.c_str());
+        return c.target;
     }();
-    return sel;
+    return target;
 }
 
 } // namespace
@@ -62,58 +63,35 @@ std::vector<const KernelTarget*> availableKernelTargets() {
     return out;
 }
 
-const KernelTarget* activeKernelTarget() { return selection(); }
-
-bool setKernelTarget(const std::string& name) {
-    if (name == "auto") {
-        selection() = widestAvailable();
-        return true;
+KernelChoice resolveKernelTarget(const std::string& flag) {
+    std::string name = flag;
+    const char* source = "--kernel";
+    if (name.empty()) {
+        const char* env = std::getenv("TPF_KERNEL");
+        if (env == nullptr || env[0] == '\0') return {widestAvailable(), {}};
+        name = env;
+        source = "TPF_KERNEL";
     }
-    for (const KernelTarget* t : availableKernelTargets()) {
-        if (name == t->name) {
-            selection() = t;
-            return true;
-        }
-    }
-    return false;
+    if (name == "auto") return {widestAvailable(), {}};
+    if (const KernelTarget* t = findAvailable(name)) return {t, {}};
+    if (name != "scalar" && name != "sse2" && name != "avx2" &&
+        name != "avx512")
+        return {nullptr, std::string("unknown ") + source + " '" + name +
+                             "' (auto, scalar, sse2, avx2, avx512)"};
+    if (flag.empty()) return {widestAvailable(), {}};
+    return {nullptr, "--kernel target '" + name +
+                         "' is not available on this CPU (see --list-kernels)"};
 }
 
-bool parseKernelSpec(const std::string& spec, KernelSpec& out,
-                     std::string& err) {
-    KernelSpec parsed;
-    bool haveSchedule = false, haveTarget = false;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t colon = spec.find(':', pos);
-        const std::string tok =
-            spec.substr(pos, colon == std::string::npos ? std::string::npos
-                                                        : colon - pos);
-        pos = colon == std::string::npos ? spec.size() + 1 : colon + 1;
+const KernelTarget* activeKernelTarget() {
+    return g_selected != nullptr ? g_selected : startupTarget();
+}
 
-        if (tok == "split" || tok == "fused") {
-            if (haveSchedule) {
-                err = "kernel spec '" + spec + "': duplicate schedule token";
-                return false;
-            }
-            parsed.schedule = tok == "fused" ? SweepSchedule::Fused
-                                             : SweepSchedule::Split;
-            haveSchedule = true;
-        } else if (tok == "auto" || tok == "scalar" || tok == "sse2" ||
-                   tok == "avx2" || tok == "avx512") {
-            if (haveTarget) {
-                err = "kernel spec '" + spec + "': duplicate target token";
-                return false;
-            }
-            parsed.target = tok;
-            haveTarget = true;
-        } else {
-            err = "kernel spec '" + spec + "': unknown token '" + tok +
-                  "' (expected split|fused or "
-                  "auto|scalar|sse2|avx2|avx512)";
-            return false;
-        }
-    }
-    out = parsed;
+bool setKernelTarget(const std::string& name) {
+    const KernelTarget* t = name == "auto" ? widestAvailable()
+                                           : findAvailable(name);
+    if (t == nullptr) return false;
+    g_selected = t;
     return true;
 }
 

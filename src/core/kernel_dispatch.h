@@ -12,11 +12,11 @@
 /// collapse into one symbol.
 ///
 /// Selection: widest CPU-supported target by default, overridable with the
-/// TPF_KERNEL environment variable or the --kernel CLI flag (kernel specs
-/// "[schedule:]target", e.g. "avx2", "fused:avx512", "split:scalar"). All
-/// targets are bitwise-identical by construction (same fma/rsqrt arithmetic
-/// per lane; docs/CORRECTNESS.md), so the override is a reproducibility and
-/// testing knob, not a results knob.
+/// TPF_KERNEL environment variable or the --kernel CLI flag, both naming a
+/// bare target ("auto", "scalar", "sse2", "avx2", "avx512"). All targets are
+/// bitwise-identical by construction (same fma/rsqrt arithmetic per lane;
+/// docs/CORRECTNESS.md), so the override is a reproducibility and testing
+/// knob, not a results knob.
 
 #include <string>
 #include <vector>
@@ -49,28 +49,30 @@ const KernelTarget* kernelTargetAvx512();
 /// (scalar always present).
 std::vector<const KernelTarget*> availableKernelTargets();
 
-/// The selected target. First use resolves the TPF_KERNEL environment
-/// variable (its target token; schedule tokens are the CLI's business) and
-/// falls back to the widest available target. Never null. Not synchronized:
-/// select once at startup, before sweeps run on worker threads.
+/// A program's kernel-target choice: the target, or the usage error for an
+/// unknown name ("unknown --kernel 'x' (auto, scalar, sse2, avx2, avx512)").
+struct KernelChoice {
+    const KernelTarget* target = nullptr; ///< non-null when error is empty
+    std::string error;
+};
+
+/// Resolve the kernel target: \p flag (a program's --kernel value, empty when
+/// absent), then $TPF_KERNEL, then "auto", the widest target this CPU
+/// supports. An unknown name is an error. A known target this CPU lacks is an
+/// error when the flag names it and falls back to "auto" when $TPF_KERNEL
+/// does (the results are bitwise identical either way). Programs print a
+/// non-empty error and exit 2.
+KernelChoice resolveKernelTarget(const std::string& flag);
+
+/// The selected target: the last setKernelTarget(), else
+/// resolveKernelTarget("") on first use (an unknown $TPF_KERNEL is a hard
+/// error). Never null. setKernelTarget() is not synchronized: select once at
+/// startup, before sweeps run on worker threads.
 const KernelTarget* activeKernelTarget();
 
 /// Select a target by name; "auto" restores the widest available. Returns
 /// false (and leaves the selection unchanged) for unknown or unsupported
-/// names.
+/// names. Does not read $TPF_KERNEL, so a program's --kernel wins over it.
 bool setKernelTarget(const std::string& name);
-
-/// A parsed "[schedule:]target" kernel spec (--kernel / TPF_KERNEL).
-struct KernelSpec {
-    SweepSchedule schedule = SweepSchedule::Split;
-    std::string target = "auto";
-};
-
-/// Parse a kernel spec: colon-separated tokens, each either a schedule
-/// ("split" / "fused") or a target name ("auto" / "scalar" / "sse2" / "avx2"
-/// / "avx512"). Availability is NOT checked here — use setKernelTarget.
-/// Returns false with a message in \p err on malformed specs.
-bool parseKernelSpec(const std::string& spec, KernelSpec& out,
-                     std::string& err);
 
 } // namespace tpf::core

@@ -59,14 +59,6 @@ enum class MuKernelKind {
     SimdTzStagCut,
 };
 
-/// How the per-step phi and mu sweeps are scheduled by the solver:
-/// Split streams the whole domain twice (phi sweep, exchange, mu sweep);
-/// Fused temporally blocks both sweeps over the z-slab partition of
-/// core/slab_sweep.h so each cell's stencil data is touched once per step
-/// (mu for slab k-1 runs as soon as the fresh phi of its one-slab halo
-/// exists — see core/fused_sweep.h and docs/KERNELS.md "Fused sweep").
-enum class SweepSchedule { Split, Fused };
-
 /// Per-step, per-block inputs of a kernel invocation.
 struct StepContext {
     ModelConsts mc;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "core/fused_sweep.h"
-
 namespace tpf::core {
 
 namespace {
@@ -61,10 +59,6 @@ Solver::Solver(SolverConfig cfg, vmpi::Comm* comm)
     }
     TPF_ASSERT(cfg_.periodic[0] && cfg_.periodic[1],
                "the solidification setup assumes lateral periodicity");
-    if (cfg_.schedule == SweepSchedule::Fused)
-        TPF_ASSERT(bf_.blockGrid().x == 1 && bf_.blockGrid().y == 1,
-                   "the fused schedule wraps lateral phi ghosts locally and "
-                   "needs a single block in x and y (z-slicing is fine)");
 
     buildTimeloop();
 }
@@ -118,52 +112,6 @@ void Solver::buildTimeloop() {
     if (cfg_.overlapMu)
         loop_.add("mu-comm-start", [this] { muEx_->start(); });
 
-    if (cfg_.schedule == SweepSchedule::Fused) {
-        // Fused pipeline (core/fused_sweep.h): phi and the interior mu slabs
-        // interleave; the phi exchange runs once all phi slabs are written;
-        // the bottom/top mu slabs — the only readers of phiDst z ghosts —
-        // follow it. fusedMuPrep() fires before whichever mu slab comes
-        // first (usually inside fused-sweep; with < 3 slabs per block, in
-        // fused-mu-boundary).
-        loop_.add("fused-sweep", [this, forAllBlocks] {
-            fusedMuReady_ = false;
-            forAllBlocks([&](std::size_t i, SimBlock& b) {
-                fusedSweepInterior(b, makeContext(i), cfg_.phiKernel,
-                                   cfg_.muKernel, pool_.get(),
-                                   [this] { fusedMuPrep(); });
-            });
-        });
-        loop_.add("phi-comm", [this, forAllBlocks] {
-            phiEx_->communicate();
-            forAllBlocks([&](std::size_t, SimBlock& b) {
-                applyBoundaries(b.phiDst, bf_, b.blockIdx, phiBC_, pool_.get());
-            });
-        });
-        loop_.add("fused-mu-boundary", [this, forAllBlocks] {
-            fusedMuPrep();
-            forAllBlocks([&](std::size_t i, SimBlock& b) {
-                fusedSweepBoundary(b, makeContext(i), cfg_.muKernel,
-                                   pool_.get());
-            });
-        });
-
-        if (!cfg_.overlapMu) {
-            loop_.add("mu-comm", [this, forAllBlocks] {
-                muEx_->communicate();
-                forAllBlocks([&](std::size_t, SimBlock& b) {
-                    applyBoundaries(b.muDst, bf_, b.blockIdx, muBC_,
-                                    pool_.get());
-                });
-            });
-        }
-
-        loop_.add("swap", [this] {
-            for (auto& b : blocks_) b->swapSrcDst();
-            time_ += cfg_.model.dt;
-        });
-        return;
-    }
-
     loop_.add("phi-sweep", [this, forAllBlocks] {
         forAllBlocks([&](std::size_t i, SimBlock& b) { sweepPhi(i, b); });
     });
@@ -200,15 +148,6 @@ void Solver::buildTimeloop() {
         for (auto& b : blocks_) b->swapSrcDst();
         time_ += cfg_.model.dt;
     });
-}
-
-void Solver::fusedMuPrep() {
-    if (fusedMuReady_) return;
-    fusedMuReady_ = true;
-    if (!cfg_.overlapMu) return; // muSrc ghosts are last step's mu-comm
-    muEx_->wait();
-    for (auto& b : blocks_)
-        applyBoundaries(b->muSrc, bf_, b->blockIdx, muBC_, pool_.get());
 }
 
 void Solver::addPostStepHook(const std::string& name,

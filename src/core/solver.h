@@ -42,12 +42,6 @@ struct SolverConfig {
     PhiKernelKind phiKernel = PhiKernelKind::SimdFourCell;
     MuKernelKind muKernel = MuKernelKind::SimdTzStagCut;
 
-    /// Split: phi sweep, phi exchange, mu sweep (Algorithm 1/2). Fused: the
-    /// phi and mu sweeps interleave over the z-slab partition so fresh phi is
-    /// consumed while cache-resident (core/fused_sweep.h). Bitwise identical
-    /// to Split; requires a single block in x and y.
-    SweepSchedule schedule = SweepSchedule::Split;
-
     /// Communication hiding of the mu exchange (Algorithm 2). The phi
     /// exchange is always blocking: hiding it needs a split mu-sweep whose
     /// overhead exceeds the gain (paper Fig. 8; measured in docs/TRANSPORT.md).
@@ -136,11 +130,6 @@ private:
     /// Slab-parallel phi/mu sweep of one block (serial when pool_ is null).
     void sweepPhi(std::size_t blockSlot, SimBlock& b);
     void sweepMu(std::size_t blockSlot, SimBlock& b);
-    /// Once-per-step muSrc ghost preparation of the fused schedule: waits for
-    /// the overlapMu exchange and applies the mu boundaries before the first
-    /// mu slab (wherever in the pipeline that happens to be). Idempotent;
-    /// fusedMuReady_ is reset at the start of each fused sweep.
-    void fusedMuPrep();
 
     SolverConfig cfg_;
     vmpi::Comm* comm_;
@@ -161,7 +150,6 @@ private:
     double time_ = 0.0;
     double windowOffset_ = 0.0;
     bool initialized_ = false;
-    bool fusedMuReady_ = false;
 };
 
 } // namespace tpf::core

@@ -422,7 +422,7 @@ void ruleAssertMacro(const ScannedFile& f, std::vector<Finding>& out) {
 // millions of times per step, sink the <2% overhead contract pinned by
 // bench_obs/test_perf, and perturb the code layout of the very loops the
 // cross-backend bitwise-equivalence tests compare. Kernel bodies stay
-// obs-free; instrument the callers (timeloop functors, slab/fused sweeps).
+// obs-free; instrument the callers (timeloop functors, slab sweeps).
 // ---------------------------------------------------------------------------
 void ruleObsInKernels(const ScannedFile& f, std::vector<Finding>& out) {
     static const char* kRule = "obs-in-kernels";
@@ -438,7 +438,7 @@ void ruleObsInKernels(const ScannedFile& f, std::vector<Finding>& out) {
                          "overhead contract and perturbs the hot loops the "
                          "cross-backend bitwise tests compare",
                    "instrument the caller instead (timeloop functors, "
-                   "slab/fused sweep drivers) — kernel targets and *_body.h "
+                   "slab sweep drivers) — kernel targets and *_body.h "
                    "headers stay observability-free by construction");
     };
 

@@ -142,8 +142,8 @@ TEST(Flops, KernelEstimatesAreInTheExpectedRegime) {
 BenchDoc sampleDoc() {
     BenchDoc d;
     d.machine = "x86-64 fma avx2, 4 hw threads";
-    d.entries = {{"bench_fused", "split avx2 60^3 t1", 3.25, 680.0},
-                 {"bench_fused", "fused avx2 60^3 t1", 3.75, 680.0},
+    d.entries = {{"bench_roofline", "mu basic 60^3 t1", 3.25, 680.0},
+                 {"bench_roofline", "mu simd 60^3 t1", 3.75, 680.0},
                  {"bench_roofline", "mu simd+Tz+stag 40^3 t1", 4.5, 0.0}};
     return d;
 }
@@ -207,10 +207,10 @@ TEST(BenchJson, ParserRejectsWithPointedErrors) {
 TEST(BenchJson, UpsertReplacesMatchingRowsAndAppendsNew) {
     BenchDoc d = sampleDoc();
     upsertBenchEntries(
-        d, {{"bench_fused", "fused avx2 60^3 t1", 4.0, 680.0}, // replace
+        d, {{"bench_roofline", "mu simd 60^3 t1", 4.0, 680.0}, // replace
             {"bench_kernels_micro", "phi basic 40^3 t1", 1.5, 0.0}}); // new
     ASSERT_EQ(d.entries.size(), 4u);
-    EXPECT_EQ(d.entries[1].variant, "fused avx2 60^3 t1");
+    EXPECT_EQ(d.entries[1].variant, "mu simd 60^3 t1");
     EXPECT_EQ(d.entries[1].mlups, 4.0) << "matching row must be replaced";
     EXPECT_EQ(d.entries[3].bench, "bench_kernels_micro")
         << "unknown row must be appended at the end";
@@ -229,7 +229,7 @@ TEST(BenchJson, DiffGatesRegressionsOnTheSameMachineOnly) {
     slow.entries[1].mlups *= 0.5; // -50%: regression
     const BenchDiff d = diffBench(base, slow, 0.2);
     EXPECT_FALSE(d.ok);
-    EXPECT_NE(d.message.find("fused avx2 60^3 t1"), std::string::npos)
+    EXPECT_NE(d.message.find("mu simd 60^3 t1"), std::string::npos)
         << d.message;
 
     BenchDoc missing = base;
@@ -274,11 +274,10 @@ TEST(BenchJson, MachineFingerprintIsStableAndAnonymous) {
 }
 
 /// The ctest gate over the *committed* trajectory: every BENCH_<n>.json at
-/// the repo root must parse, carry plausible entries, and — within one file —
-/// show the fused sweep beating the split schedule it was measured against.
-/// Consecutive versions from the same machine must not regress by more than
-/// half (a deliberately loose tolerance: the gate exists to catch a
-/// catastrophic slowdown or a stale file, not run-to-run noise).
+/// the repo root must parse and carry plausible entries. Consecutive
+/// versions from the same machine must not regress by more than half (a
+/// deliberately loose tolerance: the gate exists to catch a catastrophic
+/// slowdown or a stale file, not run-to-run noise).
 TEST(BenchJson, CommittedTrajectoryIsValid) {
     namespace fs = std::filesystem;
     std::vector<std::pair<int, fs::path>> files;
@@ -299,22 +298,10 @@ TEST(BenchJson, CommittedTrajectoryIsValid) {
         const BenchDoc doc = readBenchJsonFile(path.string());
         EXPECT_FALSE(doc.machine.empty());
         EXPECT_FALSE(doc.entries.empty());
-        double split = -1.0, fused = -1.0;
         for (const auto& en : doc.entries) {
             EXPECT_GT(en.mlups, 0.0)
                 << en.bench << " / " << en.variant << " has no throughput";
             EXPECT_LT(en.mlups, 1e6) << "implausible MLUP/s";
-            if (en.bench == "bench_fused") {
-                if (en.variant.rfind("split ", 0) == 0) split = en.mlups;
-                if (en.variant.rfind("fused ", 0) == 0) fused = en.mlups;
-            }
-        }
-        if (split > 0.0 || fused > 0.0) {
-            ASSERT_GT(split, 0.0) << "fused entry without its split baseline";
-            ASSERT_GT(fused, 0.0) << "split entry without its fused result";
-            EXPECT_GT(fused, split)
-                << "the committed trajectory must show the fused sweep "
-                   "beating the split schedule";
         }
         if (havePrev) {
             const BenchDiff d = diffBench(prev, doc, 0.5);
