@@ -3,8 +3,8 @@
 ///
 ///   tpf-chk info <dir>      print the self-describing metadata of a
 ///                           checkpoint directory (format version, step,
-///                           simulated time, window offset, grid, ranks,
-///                           stored precision)
+///                           simulated time, window offset, grid, ranks
+///                           and each rank's z-extent, stored precision)
 ///   tpf-chk diff <a> <b>    field-by-field comparison of two checkpoints;
 ///                           exit 0 when bitwise identical, 1 with the first
 ///                           divergent field and cell otherwise
@@ -58,6 +58,10 @@ int info(const std::string& dir) {
         std::printf("block cells     %d x %d x %d\n", m.blockCells.x,
                     m.blockCells.y, m.blockCells.z);
         std::printf("ranks           %d\n", m.numRanks);
+        for (std::size_t r = 0; r < m.rankZ.size(); ++r)
+            std::printf("  rank %-4zu     z [%d, %d)  %d planes\n", r,
+                        m.rankZ[r][0], m.rankZ[r][1],
+                        m.rankZ[r][1] - m.rankZ[r][0]);
         return 0;
     } catch (const io::CheckpointError& e) {
         std::fprintf(stderr, "tpf-chk: %s\n", e.what());

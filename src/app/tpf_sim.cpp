@@ -581,6 +581,17 @@ int main(int argc, char** argv) {
     }
     cfg.blockSize = block;
 
+    // Per-rank z-extents of a z-slab forest, for the banner: a restart
+    // adopts the checkpoint's, a fresh solidify run gets the cost-balanced
+    // split of initialize(), the other scenarios keep the uniform split.
+    const Int3 effBlock = blockGiven || opt.ranks > 1 ? block : size;
+    const BlockForest forest =
+        BlockForest::createUniform(size, effBlock, cfg.periodic, opt.ranks);
+    std::vector<int> zHeights;
+    if (forest.isZSlabs() && opt.ranks > 1)
+        zHeights = opt.scenario == "solidify"
+                       ? core::Solver::initialZSplit(cfg, opt.ranks)
+                       : forest.layerHeights();
     if (!opt.restart.empty()) {
         // Fail fast, before spawning ranks, when the checkpoint does not
         // match the requested geometry (loadCheckpoint re-validates
@@ -588,7 +599,11 @@ int main(int argc, char** argv) {
         try {
             const io::CheckpointMeta meta =
                 io::readCheckpointMeta(opt.restart);
-            const Int3 effBlock = blockGiven || opt.ranks > 1 ? block : size;
+            if (!zHeights.empty()) {
+                zHeights.clear();
+                for (const auto& z : meta.rankZ)
+                    zHeights.push_back(z[1] - z[0]);
+            }
             if (!(meta.globalCells == size)) {
                 std::fprintf(stderr,
                              "checkpoint %s holds a %dx%dx%d domain; pass "
@@ -842,13 +857,24 @@ int main(int argc, char** argv) {
                 "%d rank(s) x %d thread(s)\n"
                 "         G=%.3f K/cell  v=%.4f cells/t  overlap=%s%s  "
                 "transport=%s\n"
-                "         kernel=%s (%d-wide)\n\n",
+                "         kernel=%s (%d-wide)\n",
                 opt.scenario.c_str(), size.x, size.y, size.z, opt.steps,
                 opt.ranks, threads, gradient, velocity, overlap.c_str(),
                 window ? "  moving-window" : "",
                 opt.ranks == 1 ? "(serial)" : vmpi::transportName(transport),
                 core::activeKernelTarget()->name,
                 core::activeKernelTarget()->width);
+    if (!zHeights.empty()) {
+        std::string extents;
+        int z0 = 0;
+        for (const int h : zHeights) {
+            extents += " [" + std::to_string(z0) + "," +
+                       std::to_string(z0 + h) + ")";
+            z0 += h;
+        }
+        std::printf("         z-extents per rank:%s\n", extents.c_str());
+    }
+    std::printf("\n");
 
     try {
         if (opt.ranks == 1) {

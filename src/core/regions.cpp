@@ -7,12 +7,18 @@
 
 namespace tpf::core {
 
-CellRegion classifyCell(const Field<double>& phi, int x, int y, int z) {
+CellRegion classifyPhi(const double p[N]) {
     for (int a = 0; a < N; ++a) {
-        if (phi(x, y, z, a) == 1.0)
+        if (p[a] == 1.0)
             return a == LIQ ? CellRegion::BulkLiquid : CellRegion::BulkSolid;
     }
-    return phi(x, y, z, LIQ) > 0.0 ? CellRegion::Front : CellRegion::Interface;
+    return p[LIQ] > 0.0 ? CellRegion::Front : CellRegion::Interface;
+}
+
+CellRegion classifyCell(const Field<double>& phi, int x, int y, int z) {
+    double p[N];
+    for (int a = 0; a < N; ++a) p[a] = phi(x, y, z, a);
+    return classifyPhi(p);
 }
 
 RegionStats classifyBlock(const Field<double>& phi) {
@@ -26,17 +32,6 @@ RegionStats classifyBlock(const Field<double>& phi) {
         }
     });
     return st;
-}
-
-double estimateBlockCost(const RegionStats& stats) {
-    // Relative per-cell costs measured by bench_ablation (shortcut on/off):
-    // bulk ~1, solid-solid interface ~2.5, solidification front ~3.5.
-    const double cost =
-        1.0 * static_cast<double>(stats.bulkSolid + stats.bulkLiquid) +
-        2.5 * static_cast<double>(stats.interface) +
-        3.5 * static_cast<double>(stats.front);
-    const double cells = static_cast<double>(stats.total());
-    return cells > 0.0 ? cost / cells : 1.0;
 }
 
 const char* scenarioName(Scenario s) {

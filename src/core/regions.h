@@ -17,6 +17,9 @@ enum class CellRegion {
     Front,      ///< diffuse interface with liquid participation (F region)
 };
 
+/// Classify the order parameters \p p of one cell.
+CellRegion classifyPhi(const double p[N]);
+
 /// Classify a single cell of a phi field.
 CellRegion classifyCell(const Field<double>& phi, int x, int y, int z);
 
@@ -50,12 +53,5 @@ const char* scenarioName(Scenario s);
 /// Deterministic; \p lamellaWidth in cells.
 void fillScenario(SimBlock& b, Scenario s, const thermo::TernarySystem& sys,
                   double eps, int lamellaWidth = 12);
-
-/// Relative compute cost estimate of a block from its region composition,
-/// for weighted load balancing: front cells run the full anti-trapping
-/// evaluation, interface cells the full phi update, bulk cells only the
-/// shortcut paths plus the mu diffusion. Normalized so a pure-bulk block
-/// costs 1.0.
-double estimateBlockCost(const RegionStats& stats);
 
 } // namespace tpf::core

@@ -20,7 +20,7 @@ struct SimBlock {
 
     SimBlock(const BlockForest& bf, int idx, Layout phiLayout = Layout::fzyx,
              Layout muLayout = Layout::fzyx)
-        : blockIdx(idx), origin(bf.blockOrigin(idx)), size(bf.blockSize()),
+        : blockIdx(idx), origin(bf.blockOrigin(idx)), size(bf.blockCells(idx)),
           phiSrc(size.x, size.y, size.z, N, 1, phiLayout),
           phiDst(size.x, size.y, size.z, N, 1, phiLayout),
           muSrc(size.x, size.y, size.z, KC, 1, muLayout),

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/zsplit.h"
+
 namespace tpf::core {
 
 namespace {
@@ -19,30 +21,12 @@ Solver::Solver(SolverConfig cfg, vmpi::Comm* comm)
       bf_(BlockForest::createUniform(cfg.globalCells, effectiveBlockSize(cfg),
                                      cfg.periodic, comm ? comm->size() : 1)),
       temp_(cfg.model.temp) {
-    const int myRank = comm_ ? comm_->rank() : 0;
-    for (int b : bf_.localBlocks(myRank))
-        blocks_.push_back(std::make_unique<SimBlock>(bf_, b, cfg_.phiLayout,
-                                                     cfg_.muLayout));
-    tz_.resize(blocks_.size());
+    buildBlocks();
 
     // Intra-rank worker pool for the slab-parallel sweeps (hybrid mode).
     // Each rank owns its pool, so ranks x threads cores are used in total.
     if (cfg_.threads > 1)
         pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
-
-    // Exchange schemes. phi needs D3C19 ghosts (the mu-sweep reads diagonal
-    // phi neighbors for the anti-trapping current), mu only faces (D3C7).
-    phiEx_ = std::make_unique<GhostExchange>(bf_, comm_, StencilKind::D3C19,
-                                             /*fieldSlot=*/0);
-    muEx_ = std::make_unique<GhostExchange>(bf_, comm_, StencilKind::D3C7,
-                                            /*fieldSlot=*/1);
-    for (auto& blk : blocks_) {
-        phiEx_->registerField(blk->blockIdx, &blk->phiDst);
-        // In mu-overlap mode the mu communication happens at the *start* of a
-        // step on muSrc (Algorithm 2 line 1); otherwise on muDst at the end.
-        muEx_->registerField(blk->blockIdx,
-                             cfg_.overlapMu ? &blk->muSrc : &blk->muDst);
-    }
 
     // Boundary conditions (Figure 2): z bottom Neumann, z top Dirichlet
     // (fresh liquid / eutectic chemical potential); x, y periodic.
@@ -61,6 +45,52 @@ Solver::Solver(SolverConfig cfg, vmpi::Comm* comm)
                "the solidification setup assumes lateral periodicity");
 
     buildTimeloop();
+}
+
+void Solver::buildBlocks() {
+    const int myRank = comm_ ? comm_->rank() : 0;
+    for (int b : bf_.localBlocks(myRank))
+        blocks_.push_back(std::make_unique<SimBlock>(bf_, b, cfg_.phiLayout,
+                                                     cfg_.muLayout));
+    tz_.resize(blocks_.size());
+
+    // Exchange schemes. phi needs D3C19 ghosts (the mu-sweep reads diagonal
+    // phi neighbors for the anti-trapping current), mu only faces (D3C7).
+    phiEx_ = std::make_unique<GhostExchange>(bf_, comm_, StencilKind::D3C19,
+                                             /*fieldSlot=*/0);
+    muEx_ = std::make_unique<GhostExchange>(bf_, comm_, StencilKind::D3C7,
+                                            /*fieldSlot=*/1);
+    for (auto& blk : blocks_) {
+        phiEx_->registerField(blk->blockIdx, &blk->phiDst);
+        // In mu-overlap mode the mu communication happens at the *start* of a
+        // step on muSrc (Algorithm 2 line 1); otherwise on muDst at the end.
+        muEx_->registerField(blk->blockIdx,
+                             cfg_.overlapMu ? &blk->muSrc : &blk->muDst);
+    }
+}
+
+std::vector<int> Solver::initialZSplit(const SolverConfig& cfg, int nranks) {
+    const BlockForest bf = BlockForest::createUniform(
+        cfg.globalCells, effectiveBlockSize(cfg), cfg.periodic, nranks);
+    if (!bf.isZSlabs() || nranks == 1) return bf.layerHeights();
+    std::vector<long long> planeCost;
+    for (const RegionStats& s :
+         voronoiPlaneRegions(cfg.globalCells, cfg.periodic, cfg.init,
+                             thermo::makeAgAlCu()))
+        planeCost.push_back(regionCost(s));
+    return balancedZHeights(planeCost, nranks);
+}
+
+void Solver::relayoutZSlabs(const std::vector<int>& heights) {
+    TPF_ASSERT(bf_.isZSlabs(), "only a z-slab forest takes per-rank heights");
+    if (heights == bf_.layerHeights()) return;
+    // Free the old blocks first, so the peak never holds both layouts.
+    phiEx_.reset();
+    muEx_.reset();
+    blocks_.clear();
+    tz_.clear();
+    bf_ = BlockForest::createZSlabs(cfg_.globalCells, cfg_.periodic, heights);
+    buildBlocks();
 }
 
 StepContext Solver::makeContext(std::size_t blockSlot) const {
@@ -177,6 +207,8 @@ void Solver::communicateAll() {
 }
 
 void Solver::initialize() {
+    if (bf_.isZSlabs())
+        relayoutZSlabs(initialZSplit(cfg_, bf_.numRanks()));
     for (auto& b : blocks_) initVoronoi(*b, bf_, cfg_.init, sys_);
     communicateAll();
     initialized_ = true;

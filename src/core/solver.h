@@ -31,6 +31,8 @@ struct SolverConfig {
     Int3 globalCells{48, 48, 96};
     /// Block size; {0,0,0} means a single block spanning the whole domain
     /// (serial runs). Multi-rank runs need at least one block per rank.
+    /// {X, Y, Z / ranks} asks for a z-slab forest, whose per-rank heights
+    /// initialize() balances (initialZSplit).
     Int3 blockSize{0, 0, 0};
     std::array<bool, 3> periodic{true, true, false};
 
@@ -61,8 +63,24 @@ public:
     /// \param comm communicator (nullptr: serial, single rank).
     Solver(SolverConfig cfg, vmpi::Comm* comm = nullptr);
 
-    /// Voronoi fill, initial communication and boundary handling.
+    /// Voronoi fill, initial communication and boundary handling. A z-slab
+    /// forest is first re-laid with the heights of initialZSplit().
     void initialize();
+
+    /// The per-rank heights, bottom to top, that initialize() gives the
+    /// forest of \p cfg on \p nranks ranks: the cost-balanced split of the
+    /// Voronoi initial condition (core/zsplit.h) for a z-slab forest, the
+    /// forest's own layer heights otherwise. A pure function of its
+    /// arguments, so every rank computes the same split.
+    static std::vector<int> initialZSplit(const SolverConfig& cfg,
+                                          int nranks);
+
+    /// Re-lay a z-slab forest with one height per rank, bottom to top:
+    /// frees the blocks, then allocates new ones and rebuilds the tz caches
+    /// and both ghost exchanges. The new fields hold no state; the caller
+    /// fills them (initialize(), io::loadCheckpoint). Every rank must pass
+    /// the same heights. No-op when the heights are the current ones.
+    void relayoutZSlabs(const std::vector<int>& heights);
 
     /// One time step (Algorithm 1, or Algorithm 2 when overlapMu is set).
     void step();
@@ -124,6 +142,7 @@ public:
                          std::function<void(long long)> fn);
 
 private:
+    void buildBlocks(); ///< blocks, tz caches and exchanges of bf_
     void buildTimeloop();
     void communicateAll(); ///< full ghost sync + boundary handling of src fields
     StepContext makeContext(std::size_t blockSlot) const;

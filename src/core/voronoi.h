@@ -11,7 +11,9 @@
 /// drawn according to the target volume fractions.
 
 #include <array>
+#include <vector>
 
+#include "core/regions.h"
 #include "core/sim_block.h"
 #include "thermo/system.h"
 
@@ -27,8 +29,18 @@ struct VoronoiConfig {
 };
 
 /// Fill phi/mu source fields (including ghosts) of \p b according to the
-/// Voronoi initial condition. Deterministic given (cfg, global domain).
+/// Voronoi initial condition. Deterministic given (cfg, global domain). The
+/// nearest-seed search runs once per (x, y) column, not once per cell.
 void initVoronoi(SimBlock& b, const BlockForest& bf, const VoronoiConfig& cfg,
                  const thermo::TernarySystem& sys);
+
+/// Region counts (classifyCell) of every global z-plane of the Voronoi
+/// initial condition, bottom to top, computed from the same column table
+/// as initVoronoi without allocating fields: the input of the start-up
+/// z-split (core/zsplit.h).
+std::vector<RegionStats> voronoiPlaneRegions(Int3 globalCells,
+                                             std::array<bool, 3> periodic,
+                                             const VoronoiConfig& cfg,
+                                             const thermo::TernarySystem& sys);
 
 } // namespace tpf::core

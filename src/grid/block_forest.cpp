@@ -16,9 +16,10 @@ BlockForest BlockForest::createUniform(Int3 globalCells, Int3 blockSize,
 
     BlockForest bf;
     bf.global_ = globalCells;
-    bf.blockSize_ = blockSize;
+    bf.blockXY_ = {blockSize.x, blockSize.y, 0};
     bf.grid_ = {globalCells.x / blockSize.x, globalCells.y / blockSize.y,
                 globalCells.z / blockSize.z};
+    for (int k = 0; k <= bf.grid_.z; ++k) bf.zBegin_.push_back(k * blockSize.z);
     bf.periodic_ = periodic;
     bf.nranks_ = nranks;
     TPF_ASSERT(bf.numBlocks() >= nranks,
@@ -26,72 +27,38 @@ BlockForest BlockForest::createUniform(Int3 globalCells, Int3 blockSize,
     return bf;
 }
 
-BlockForest BlockForest::createUniformWeighted(
-    Int3 globalCells, Int3 blockSize, std::array<bool, 3> periodic, int nranks,
-    const std::vector<double>& weights) {
-    BlockForest bf = createUniform(globalCells, blockSize, periodic, nranks);
-    TPF_ASSERT(static_cast<int>(weights.size()) == bf.numBlocks(),
-               "one weight per block required");
-    for (double w : weights) TPF_ASSERT(w >= 0.0, "weights must be nonnegative");
-
-    // Exact linear partitioning into nranks contiguous segments minimizing
-    // the bottleneck: binary search over the feasible maximum load, greedy
-    // feasibility check. Then assign greedily under that bound while leaving
-    // at least one block for every remaining rank.
-    const int n = bf.numBlocks();
-    double lo = 0.0, total = 0.0;
-    for (double w : weights) {
-        lo = std::max(lo, w);
-        total += w;
+BlockForest BlockForest::createZSlabs(Int3 globalCells,
+                                      std::array<bool, 3> periodic,
+                                      const std::vector<int>& heights) {
+    const int nranks = static_cast<int>(heights.size());
+    TPF_ASSERT(nranks >= 1, "need at least one rank");
+    TPF_ASSERT(globalCells.x > 0 && globalCells.y > 0,
+               "global domain must be non-empty");
+    BlockForest bf;
+    bf.global_ = globalCells;
+    bf.blockXY_ = {globalCells.x, globalCells.y, 0};
+    bf.grid_ = {1, 1, nranks};
+    bf.periodic_ = periodic;
+    bf.nranks_ = nranks;
+    bf.zBegin_ = {0};
+    for (int h : heights) {
+        TPF_ASSERT(h > 0, "every z-slab needs at least one plane");
+        bf.zBegin_.push_back(bf.zBegin_.back() + h);
     }
-    double hi = total;
-    auto segmentsNeeded = [&](double cap) {
-        int segments = 1;
-        double cur = 0.0;
-        for (double w : weights) {
-            if (cur + w > cap) {
-                ++segments;
-                cur = w;
-            } else {
-                cur += w;
-            }
-        }
-        return segments;
-    };
-    for (int it = 0; it < 64; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        if (segmentsNeeded(mid) <= nranks)
-            hi = mid;
-        else
-            lo = mid;
-    }
-    const double cap = hi * (1.0 + 1e-12);
-
-    bf.rankMap_.assign(static_cast<std::size_t>(n), 0);
-    bf.weights_ = weights;
-    int rank = 0;
-    double cur = 0.0;
-    for (int b = 0; b < n; ++b) {
-        const double w = weights[static_cast<std::size_t>(b)];
-        const bool haveBlock = cur > 0.0 || (b > 0 && bf.rankMap_[static_cast<std::size_t>(b) - 1] == rank);
-        const int ranksAfter = nranks - rank - 1;
-        // Close the current segment when the cap would be exceeded, or when
-        // exactly one block per remaining rank is left (every rank must own
-        // at least one block).
-        if (haveBlock && rank < nranks - 1 &&
-            (cur + w > cap || n - b == ranksAfter)) {
-            ++rank;
-            cur = 0.0;
-        }
-        bf.rankMap_[static_cast<std::size_t>(b)] = rank;
-        cur += w;
-    }
+    TPF_ASSERT(bf.zBegin_.back() == globalCells.z,
+               "z-slab heights must sum to NZ");
     return bf;
+}
+
+std::vector<int> BlockForest::layerHeights() const {
+    std::vector<int> h;
+    for (std::size_t k = 0; k + 1 < zBegin_.size(); ++k)
+        h.push_back(zBegin_[k + 1] - zBegin_[k]);
+    return h;
 }
 
 int BlockForest::rankOf(int b) const {
     TPF_ASSERT_DBG(b >= 0 && b < numBlocks(), "block index out of range");
-    if (!rankMap_.empty()) return rankMap_[static_cast<std::size_t>(b)];
     // Contiguous chunks: the first (numBlocks % nranks) ranks own one extra
     // block. Deterministic and balanced to within one block.
     const int n = numBlocks();
@@ -100,15 +67,6 @@ int BlockForest::rankOf(int b) const {
     const int cutoff = (base + 1) * extra; // blocks owned by the "big" ranks
     if (b < cutoff) return b / (base + 1);
     return extra + (b - cutoff) / base;
-}
-
-double BlockForest::rankLoad(int rank) const {
-    double load = 0.0;
-    for (int b = 0; b < numBlocks(); ++b) {
-        if (rankOf(b) != rank) continue;
-        load += weights_.empty() ? 1.0 : weights_[static_cast<std::size_t>(b)];
-    }
-    return load;
 }
 
 std::vector<int> BlockForest::localBlocks(int rank) const {

@@ -1,7 +1,8 @@
 #pragma once
 /// \file block_forest.h
-/// Uniform block decomposition of the global simulation domain with periodic
-/// neighbor topology and static rank ownership — the distributed data
+/// Block decomposition of the global simulation domain — uniform blocks, or
+/// z-slabs of per-rank height — with periodic neighbor topology and static
+/// rank ownership — the distributed data
 /// structure of the waLBerla-style framework (each rank only ever touches its
 /// own blocks and neighbor metadata).
 
@@ -35,19 +36,17 @@ public:
     static BlockForest createUniform(Int3 globalCells, Int3 blockSize,
                                      std::array<bool, 3> periodic, int nranks);
 
-    /// Like createUniform, but distributes blocks according to per-block
-    /// work weights (e.g. interface blocks cost more than bulk blocks —
-    /// the paper "experimented with various load balancing techniques
-    /// offered by the waLBerla framework"). Blocks stay contiguous in the
-    /// z-major order; the partition minimizes the maximum per-rank load
-    /// (exact linear partitioning via binary search on the bottleneck).
-    static BlockForest createUniformWeighted(Int3 globalCells, Int3 blockSize,
-                                             std::array<bool, 3> periodic,
-                                             int nranks,
-                                             const std::vector<double>& weights);
+    /// A z-slab forest: one block per rank spanning the whole x/y extent,
+    /// rank r owning the \p heights[r] planes above those of ranks < r. The
+    /// uniform split is createUniform with blocks of {X, Y, Z / ranks}; the
+    /// solver picks unequal heights to balance the ranks' cost (the paper
+    /// "experimented with various load balancing techniques offered by the
+    /// waLBerla framework"; core/zsplit.h).
+    static BlockForest createZSlabs(Int3 globalCells,
+                                    std::array<bool, 3> periodic,
+                                    const std::vector<int>& heights);
 
     Int3 globalCells() const { return global_; }
-    Int3 blockSize() const { return blockSize_; }
     Int3 blockGrid() const { return grid_; }
     std::array<bool, 3> periodic() const { return periodic_; }
     int numRanks() const { return nranks_; }
@@ -70,7 +69,22 @@ public:
     /// Global cell coordinates of the block's first interior cell.
     Int3 blockOrigin(int b) const {
         const Int3 c = blockCoords(b);
-        return {c.x * blockSize_.x, c.y * blockSize_.y, c.z * blockSize_.z};
+        return {c.x * blockXY_.x, c.y * blockXY_.y,
+                zBegin_[static_cast<std::size_t>(c.z)]};
+    }
+    /// Interior cells of block \p b.
+    Int3 blockCells(int b) const {
+        const auto z = static_cast<std::size_t>(blockCoords(b).z);
+        return {blockXY_.x, blockXY_.y, zBegin_[z + 1] - zBegin_[z]};
+    }
+    /// Heights of the block layers, bottom to top: in a z-slab forest, the
+    /// planes of each rank.
+    std::vector<int> layerHeights() const;
+
+    /// One block per rank, spanning the x/y extent (the shape createZSlabs
+    /// builds, and createUniform with blocks of {X, Y, Z / ranks}).
+    bool isZSlabs() const {
+        return grid_.x == 1 && grid_.y == 1 && grid_.z == nranks_;
     }
 
     /// Rank that owns block \p b (contiguous chunks of the z-major order so
@@ -84,20 +98,14 @@ public:
     /// Returns nullopt at non-periodic domain boundaries.
     std::optional<NeighborInfo> neighbor(int b, int ox, int oy, int oz) const;
 
-    /// Total weight assigned to \p rank (1 per block for unweighted forests).
-    double rankLoad(int rank) const;
-
 private:
     Int3 global_{};
-    Int3 blockSize_{};
+    Int3 blockXY_{}; ///< x/y block size (z is per layer, zBegin_)
     Int3 grid_{};
     std::array<bool, 3> periodic_{};
     int nranks_ = 1;
-
-    /// Explicit block->rank map (weighted forests); empty means the default
-    /// contiguous equal-count assignment.
-    std::vector<int> rankMap_;
-    std::vector<double> weights_;
+    /// First global z of every block layer, plus NZ at the end.
+    std::vector<int> zBegin_;
 };
 
 } // namespace tpf

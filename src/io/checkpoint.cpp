@@ -165,6 +165,7 @@ bool fail(std::string& err, std::string msg) {
 
 enum class ReadMode {
     HeaderOnly, ///< parse and validate the FileHeader, skip the blocks
+    Layout,     ///< parse every header, skip the payloads
     Full,       ///< parse everything, trust the stored CRCs
     FullVerify  ///< parse everything and verify every field CRC
 };
@@ -243,6 +244,12 @@ bool readRankFile(const std::string& path, ParsedRank& out, ReadMode mode,
             if (fh.payloadBytes != cells * fh.components * fh.valueBytes ||
                 fh.payloadBytes > (1ULL << 40))
                 return fail(err, "payload size mismatch for " + where);
+            if (mode == ReadMode::Layout) {
+                if (std::fseek(f.get(), static_cast<long>(fh.payloadBytes),
+                               SEEK_CUR) != 0)
+                    return fail(err, "truncated checkpoint file: " + where);
+                continue;
+            }
             fld.payload.resize(fh.payloadBytes);
             if (std::fread(fld.payload.data(), 1, fld.payload.size(),
                            f.get()) != fld.payload.size())
@@ -263,17 +270,25 @@ bool readRankFile(const std::string& path, ParsedRank& out, ReadMode mode,
         }
     }
     // Trailing garbage would mean the writer and reader disagree on layout.
-    if (std::fgetc(f.get()) != EOF)
+    if (mode != ReadMode::Layout && std::fgetc(f.get()) != EOF)
         return fail(err, "trailing data after last field in '" + path + "'");
     return true;
 }
 
-/// Check that a parsed rank file matches the running solver's configuration
-/// and decomposition. Local, no solver mutation.
-bool validateAgainstSolver(const ParsedRank& pr, const core::Solver& solver,
-                           int rank, int nranks, std::string& err) {
-    const FileHeader& hdr = pr.fh;
-    const Int3 g = solver.forest().globalCells();
+/// Block size of the forest's block grid: the block size of a uniform
+/// forest, and the uniform split's block of a z-slab forest whose heights
+/// differ (the block headers carry every block's own extent).
+Int3 gridBlockCells(const BlockForest& bf) {
+    const Int3 g = bf.globalCells();
+    const Int3 n = bf.blockGrid();
+    return {g.x / n.x, g.y / n.y, g.z / n.z};
+}
+
+/// Check that a parsed rank file header matches the running solver's domain,
+/// block grid and rank layout. Local, no solver mutation.
+bool validateHeader(const FileHeader& hdr, const BlockForest& bf, int rank,
+                    int nranks, std::string& err) {
+    const Int3 g = bf.globalCells();
     if (hdr.globalX != g.x || hdr.globalY != g.y || hdr.globalZ != g.z) {
         char buf[128];
         std::snprintf(buf, sizeof buf,
@@ -282,7 +297,7 @@ bool validateAgainstSolver(const ParsedRank& pr, const core::Solver& solver,
                       hdr.globalX, hdr.globalY, hdr.globalZ, g.x, g.y, g.z);
         return fail(err, buf);
     }
-    const Int3 bs = solver.forest().blockSize();
+    const Int3 bs = gridBlockCells(bf);
     if (hdr.blockX != bs.x || hdr.blockY != bs.y || hdr.blockZ != bs.z)
         return fail(err, "checkpoint block size mismatch (same decomposition "
                          "required)");
@@ -294,18 +309,25 @@ bool validateAgainstSolver(const ParsedRank& pr, const core::Solver& solver,
                       hdr.rank, hdr.numRanks, rank, nranks);
         return fail(err, buf);
     }
-    const auto& blocks = solver.localBlocks();
-    if (hdr.numBlocks != static_cast<int>(blocks.size()))
+    return true;
+}
+
+/// Check that the blocks of a parsed rank file are the blocks \p bf gives
+/// \p rank, in order and geometry, with the expected fields.
+bool validateBlocks(const ParsedRank& pr, const BlockForest& bf, int rank,
+                    std::string& err) {
+    const std::vector<int> blocks = bf.localBlocks(rank);
+    if (pr.fh.numBlocks != static_cast<int>(blocks.size()))
         return fail(err, "checkpoint block count mismatch (same decomposition "
                          "required)");
     for (std::size_t i = 0; i < blocks.size(); ++i) {
-        const core::SimBlock& b = *blocks[i];
+        const Int3 o = bf.blockOrigin(blocks[i]);
+        const Int3 n = bf.blockCells(blocks[i]);
         const BlockHeader& bh = pr.blocks[i].bh;
-        if (bh.blockIdx != b.blockIdx)
+        if (bh.blockIdx != blocks[i])
             return fail(err, "checkpoint block order mismatch");
-        if (bh.nx != b.size.x || bh.ny != b.size.y || bh.nz != b.size.z ||
-            bh.originX != b.origin.x || bh.originY != b.origin.y ||
-            bh.originZ != b.origin.z)
+        if (bh.nx != n.x || bh.ny != n.y || bh.nz != n.z ||
+            bh.originX != o.x || bh.originY != o.y || bh.originZ != o.z)
             return fail(err, "checkpoint block geometry mismatch");
         const ParsedField& phi = pr.blocks[i].fields[0];
         const ParsedField& mu = pr.blocks[i].fields[1];
@@ -319,6 +341,74 @@ bool validateAgainstSolver(const ParsedRank& pr, const core::Solver& solver,
                                  std::to_string(core::KC) + " components)");
     }
     return true;
+}
+
+/// z-extent [lowest origin, highest top) of the blocks of every rank file
+/// of \p dir, from the headers alone. \p nranks < 0 takes the rank count
+/// from the rank-0 file.
+bool readRankZ(const std::string& dir, int nranks,
+               std::vector<std::array<int, 2>>& out, std::string& err) {
+    out.clear();
+    for (int r = 0; r < std::max(nranks, 1); ++r) {
+        ParsedRank pr;
+        if (!readRankFile(rankFile(dir, r), pr, ReadMode::Layout, err))
+            return false;
+        if (nranks < 0) nranks = pr.fh.numRanks;
+        if (pr.fh.numRanks != nranks || pr.fh.rank != r)
+            return fail(err, "rank file '" + rankFile(dir, r) + "' holds "
+                             "rank " + std::to_string(pr.fh.rank) + " of " +
+                             std::to_string(pr.fh.numRanks));
+        std::array<int, 2> z{0, 0};
+        for (std::size_t b = 0; b < pr.blocks.size(); ++b) {
+            const BlockHeader& bh = pr.blocks[b].bh;
+            z[0] = b == 0 ? bh.originZ : std::min(z[0], bh.originZ);
+            z[1] = b == 0 ? bh.originZ + bh.nz
+                          : std::max(z[1], bh.originZ + bh.nz);
+        }
+        out.push_back(z);
+    }
+    return true;
+}
+
+std::string formatRankZ(const std::vector<std::array<int, 2>>& z) {
+    std::string s;
+    for (const auto& e : z)
+        s += (s.empty() ? "[" : " [") + std::to_string(e[0]) + "," +
+             std::to_string(e[1]) + ")";
+    return s;
+}
+
+/// Per-rank heights of the z-slab checkpoint in \p dir, which must tile the
+/// z extent of \p bf (a z-slab forest) on its ranks: rank 0 from z = 0, each
+/// rank where the one below ends, the last at NZ. Otherwise fails with a
+/// message that names both layouts.
+bool readZSlabHeights(const std::string& dir, const BlockForest& bf,
+                      std::vector<int>& heights, std::string& err) {
+    std::vector<std::array<int, 2>> z;
+    if (!readRankZ(dir, bf.numRanks(), z, err)) return false;
+    heights.clear();
+    int top = 0;
+    for (const auto& e : z) {
+        if (e[0] != top || e[1] <= e[0]) break;
+        heights.push_back(e[1] - e[0]);
+        top = e[1];
+    }
+    if (top == bf.globalCells().z && heights.size() == z.size()) return true;
+
+    std::vector<std::array<int, 2>> mine;
+    top = 0;
+    for (int h : bf.layerHeights()) {
+        mine.push_back({top, top + h});
+        top += h;
+    }
+    const Int3 g = bf.globalCells();
+    return fail(err, "checkpoint '" + dir + "' has per-rank z-extents " +
+                         formatRankZ(z) + ", which do not tile the solver's " +
+                         std::to_string(g.x) + "x" + std::to_string(g.y) +
+                         "x" + std::to_string(g.z) + " domain on " +
+                         std::to_string(bf.numRanks()) +
+                         " z-slab ranks (solver z-extents " +
+                         formatRankZ(mine) + ")");
 }
 
 // ---------------------------------------------------------------------------
@@ -360,9 +450,10 @@ bool writeRankFile(const std::string& path, core::Solver& solver, int rank,
     hdr.globalX = solver.forest().globalCells().x;
     hdr.globalY = solver.forest().globalCells().y;
     hdr.globalZ = solver.forest().globalCells().z;
-    hdr.blockX = solver.forest().blockSize().x;
-    hdr.blockY = solver.forest().blockSize().y;
-    hdr.blockZ = solver.forest().blockSize().z;
+    const Int3 bs = gridBlockCells(solver.forest());
+    hdr.blockX = bs.x;
+    hdr.blockY = bs.y;
+    hdr.blockZ = bs.z;
     hdr.numRanks = nranks;
     hdr.rank = rank;
     hdr.numBlocks = static_cast<int>(solver.localBlocks().size());
@@ -499,15 +590,26 @@ void loadCheckpoint(const std::string& dirIn, core::Solver& solver) {
 
     // Phase 1 (local, no collectives, no solver mutation): read the whole
     // rank file into memory and validate structure, geometry and checksums.
-    // Exceptions are contained here too — every rank must reach the
-    // agreement below, or the others hang in it.
+    // A z-slab solver adopts the per-rank heights of the files, which every
+    // rank reads from all the block headers alike. Exceptions are contained
+    // here too — every rank must reach the agreement below, or the others
+    // hang in it.
     ParsedRank pr;
     std::string err;
     bool ok = false;
+    const BlockForest& bf = solver.forest();
+    std::vector<int> heights = bf.layerHeights();
     try {
         ok = readRankFile(rankFile(dir, rank), pr, ReadMode::FullVerify,
                           err) &&
-             validateAgainstSolver(pr, solver, rank, nranks, err);
+             validateHeader(pr.fh, bf, rank, nranks, err) &&
+             (!bf.isZSlabs() || readZSlabHeights(dir, bf, heights, err)) &&
+             validateBlocks(pr,
+                            bf.isZSlabs()
+                                ? BlockForest::createZSlabs(
+                                      bf.globalCells(), bf.periodic(), heights)
+                                : bf,
+                            rank, err);
     } catch (const std::exception& e) {
         ok = fail(err, std::string("checkpoint read failed: ") + e.what());
     }
@@ -519,6 +621,7 @@ void loadCheckpoint(const std::string& dirIn, core::Solver& solver) {
     if (!agree(comm, ok)) throwCollective(err, "checkpoint load");
 
     // Phase 3: apply. Only reached when every rank validated successfully.
+    if (bf.isZSlabs()) solver.relayoutZSlabs(heights);
     auto& blocks = solver.localBlocks();
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         core::SimBlock& b = *blocks[i];
@@ -536,11 +639,13 @@ CheckpointMeta readCheckpointMeta(const std::string& dirIn) {
     const std::string dir = normalizeDir(dirIn);
     ParsedRank pr;
     std::string err;
-    // Header only: the payloads (potentially GBs for production runs) are
+    // Headers only: the payloads (potentially GBs for production runs) are
     // neither read nor allocated just to report metadata.
     if (!readRankFile(rankFile(dir, 0), pr, ReadMode::HeaderOnly, err))
         throw CheckpointError(err);
-    return metaFromHeader(pr.fh);
+    CheckpointMeta m = metaFromHeader(pr.fh);
+    if (!readRankZ(dir, -1, m.rankZ, err)) throw CheckpointError(err);
+    return m;
 }
 
 std::string CheckpointDiff::message() const {

@@ -20,7 +20,8 @@
 ///                                    version, value precision (4|8 bytes),
 ///                                    step count, simulated time, moving-
 ///                                    window offset, global cells, block
-///                                    size, rank / rank count, block count
+///                                    size (of the block grid), rank /
+///                                    rank count, block count
 ///     repeat numBlocks times:
 ///       BlockHeader                  block index, interior size, origin
 ///       FieldHeader "phi" + payload  nf components, CRC-32, payload bytes
@@ -53,6 +54,7 @@
 /// instead of leaving the healthy ranks hanging in the restore's collective
 /// ghost exchange.
 
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -82,7 +84,8 @@ struct CheckpointOptions {
     CheckpointPrecision precision = CheckpointPrecision::Float64;
 };
 
-/// Metadata of a checkpoint directory (read from the rank-0 file).
+/// Metadata of a checkpoint directory (the rank-0 file header, plus the
+/// block headers of every rank file).
 struct CheckpointMeta {
     int formatVersion = kCheckpointFormatVersion;
     int precisionBytes = 8; ///< 8 = Float64 (exact restart), 4 = Float32
@@ -90,8 +93,12 @@ struct CheckpointMeta {
     double time = 0.0;
     double windowOffset = 0.0;
     Int3 globalCells{};
-    Int3 blockCells{}; ///< decomposition block size
+    /// Block size of the block grid; a z-slab checkpoint whose per-rank
+    /// heights differ records the uniform split's block here.
+    Int3 blockCells{};
     int numRanks = 1;
+    /// z-extent [begin, end) of each rank's blocks, rank 0 first.
+    std::vector<std::array<int, 2>> rankZ;
 };
 
 /// Write the state of \p solver under directory \p dir (created if needed)
@@ -101,14 +108,19 @@ void saveCheckpoint(const std::string& dir, core::Solver& solver,
                     const CheckpointOptions& opts = {});
 
 /// Restore a previously saved state into \p solver (must be configured with
-/// the same domain and decomposition). The rank file is fully read and
-/// validated — header, geometry, per-field CRC — *before* any solver state
-/// is touched; fields, simulated time, moving-window offset and the timeloop
-/// step counter are then restored and ghost layers re-synchronized.
-/// Collective; throws CheckpointError on all ranks if any rank fails.
+/// the same domain and decomposition). A z-slab solver (one block per rank,
+/// spanning x/y) adopts the per-rank heights the files' block headers
+/// record, re-laying itself when they differ from its own
+/// (Solver::relayoutZSlabs); heights that do not tile its domain on its
+/// ranks are an error that names both layouts. The rank file is fully read
+/// and validated — header, geometry, per-field CRC — *before* any solver
+/// state is touched; fields, simulated time, moving-window offset and the
+/// timeloop step counter are then restored and ghost layers
+/// re-synchronized. Collective; throws CheckpointError on all ranks if any
+/// rank fails.
 void loadCheckpoint(const std::string& dir, core::Solver& solver);
 
-/// Read only the metadata (rank-0 file). Throws CheckpointError.
+/// Read only the metadata (headers, no payloads). Throws CheckpointError.
 CheckpointMeta readCheckpointMeta(const std::string& dir);
 
 /// First point of divergence between two checkpoints, for the golden-run

@@ -59,9 +59,23 @@ core::SolverConfig analysisConfig(int ranks, int threads) {
     return cfg;
 }
 
-/// Run the solidify scenario with the full pipeline streaming to \p csv.
+/// A shape whose start-up split is not the uniform one (the solid in the
+/// bottom fifth of 16x16x64, see core/zsplit.h), with the trigger lowered
+/// to shift the lower front.
+core::SolverConfig balancedConfig(int ranks, int threads) {
+    core::SolverConfig cfg = analysisConfig(ranks, threads);
+    cfg.globalCells = {16, 16, 64};
+    if (ranks > 1) cfg.blockSize = {16, 16, 64 / ranks};
+    cfg.init.fillHeight = 12;
+    cfg.window.triggerFraction = 0.1;
+    return cfg;
+}
+
+/// Run the solidify scenario with the full pipeline streaming to \p csv;
+/// \p heights receives the per-rank heights after initialize().
 void runWithPipeline(const core::SolverConfig& cfg, int ranks, int steps,
-                     int every, const std::string& csv) {
+                     int every, const std::string& csv,
+                     std::vector<int>* heights = nullptr) {
     auto body = [&](vmpi::Comm* comm) {
         core::Solver solver(cfg, comm);
         analysis::Pipeline pipeline;
@@ -70,6 +84,8 @@ void runWithPipeline(const core::SolverConfig& cfg, int ranks, int steps,
         if (!comm || comm->isRoot()) pipeline.createCsv(csv);
         pipeline.attach(solver, every);
         solver.initialize();
+        if (heights && (!comm || comm->isRoot()))
+            *heights = solver.forest().layerHeights();
         pipeline.sample(solver, 0);
         solver.run(steps);
     };
@@ -116,6 +132,38 @@ TEST(AnalysisRankInvariance, CsvBitwiseIdenticalAcrossRanksAndThreads) {
                 FAIL() << "analysis series diverged from ranks=1 threads=1: "
                        << d.message;
             }
+        }
+    }
+}
+
+TEST(AnalysisRankInvariance, CsvBitwiseIdenticalOnUnequalHeights) {
+    TempDir dir("balanced");
+    const std::string ref = (dir.path / "analysis_r1.csv").string();
+    runWithPipeline(balancedConfig(1, 1), 1, /*steps=*/16, /*every=*/4, ref);
+    const io::CsvSeries s = io::readCsvSeries(ref);
+    ASSERT_EQ(s.rows.size(), 5u);
+    EXPECT_GT(std::stod(s.rows.back()[2]), 0.0)
+        << "no window shift during the run";
+    const std::string reference = readAll(ref);
+
+    for (const int ranks : {2, 4}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE("ranks=" + std::to_string(ranks) +
+                         " threads=" + std::to_string(threads));
+            const std::string csv =
+                (dir.path / ("analysis_r" + std::to_string(ranks) + "_t" +
+                             std::to_string(threads) + ".csv"))
+                    .string();
+            std::vector<int> heights;
+            runWithPipeline(balancedConfig(ranks, threads), ranks,
+                            /*steps=*/16, /*every=*/4, csv, &heights);
+            EXPECT_NE(heights,
+                      std::vector<int>(static_cast<std::size_t>(ranks),
+                                       64 / ranks))
+                << "the split is uniform: this leg tests nothing new";
+            if (readAll(csv) != reference)
+                FAIL() << "analysis series diverged from ranks=1: "
+                       << io::compareCsvSeries(ref, csv).message;
         }
     }
 }

@@ -50,20 +50,19 @@ TEST(Regions, SendAndGhostRegionsMatchInSize) {
     }
 }
 
-/// Run an exchange over an R-rank world with the given block grid and verify
-/// every ghost cell holds the periodic-wrapped global value.
-void runExchangeTest(Int3 globalCells, Int3 blockSize, int nranks,
-                     StencilKind stencil) {
-    vmpi::runParallel(nranks, [&](vmpi::Comm& comm) {
-        auto bf = BlockForest::createUniform(globalCells, blockSize,
-                                             {true, true, true}, nranks);
+/// Run an exchange over the ranks of \p bf and verify every ghost cell holds
+/// the periodic-wrapped global value.
+void runExchangeTest(const BlockForest& bf, StencilKind stencil) {
+    const Int3 globalCells = bf.globalCells();
+    vmpi::runParallel(bf.numRanks(), [&](vmpi::Comm& comm) {
         std::vector<std::unique_ptr<Field<double>>> fields;
         GhostExchange ex(bf, &comm, stencil, 0);
 
         const auto local = bf.localBlocks(comm.rank());
         for (int b : local) {
-            auto f = std::make_unique<Field<double>>(
-                blockSize.x, blockSize.y, blockSize.z, 2, 1, Layout::fzyx);
+            const Int3 n = bf.blockCells(b);
+            auto f = std::make_unique<Field<double>>(n.x, n.y, n.z, 2, 1,
+                                                     Layout::fzyx);
             const Int3 o = bf.blockOrigin(b);
             forEachCell(f->interior(), [&](int x, int y, int z) {
                 for (int c = 0; c < 2; ++c)
@@ -97,6 +96,13 @@ void runExchangeTest(Int3 globalCells, Int3 blockSize, int nranks,
     });
 }
 
+void runExchangeTest(Int3 globalCells, Int3 blockSize, int nranks,
+                     StencilKind stencil) {
+    runExchangeTest(BlockForest::createUniform(globalCells, blockSize,
+                                               {true, true, true}, nranks),
+                    stencil);
+}
+
 TEST(Exchange, SerialSingleBlockPeriodicSelfWrap) {
     runExchangeTest({8, 8, 8}, {8, 8, 8}, 1, StencilKind::D3C19);
 }
@@ -117,6 +123,17 @@ TEST(Exchange, FaceOnlyStencil) {
 
 TEST(Exchange, UnevenBlockToRankAssignment) {
     runExchangeTest({24, 8, 8}, {8, 8, 8}, 2, StencilKind::D3C19);
+}
+
+TEST(Exchange, ZSlabsOfUnequalHeights) {
+    // Per-rank heights 8 / 24 / 16: the z faces and the edges that cross a
+    // slab boundary join blocks of different heights.
+    for (const StencilKind k : {StencilKind::D3C7, StencilKind::D3C19,
+                                StencilKind::D3C27})
+        runExchangeTest(BlockForest::createZSlabs({8, 8, 48},
+                                                  {true, true, true},
+                                                  {8, 24, 16}),
+                        k);
 }
 
 TEST(Exchange, StartWaitOverlapProducesSameResult) {

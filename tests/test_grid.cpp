@@ -215,5 +215,46 @@ TEST(BlockForest, NeighborSymmetry) {
     }
 }
 
+TEST(BlockForest, ZSlabForestWithPerRankHeights) {
+    // Three ranks with heights 8 / 24 / 16 over a 16x8x48 domain.
+    auto bf = BlockForest::createZSlabs({16, 8, 48}, {true, true, false},
+                                        {8, 24, 16});
+    EXPECT_TRUE(bf.isZSlabs());
+    EXPECT_EQ(bf.numRanks(), 3);
+    EXPECT_EQ(bf.blockGrid(), (Int3{1, 1, 3}));
+    EXPECT_EQ(bf.layerHeights(), (std::vector<int>{8, 24, 16}));
+    const Int3 origins[3] = {{0, 0, 0}, {0, 0, 8}, {0, 0, 32}};
+    const Int3 cells[3] = {{16, 8, 8}, {16, 8, 24}, {16, 8, 16}};
+    for (int b = 0; b < 3; ++b) {
+        EXPECT_EQ(bf.blockOrigin(b), origins[b]);
+        EXPECT_EQ(bf.blockCells(b), cells[b]);
+        EXPECT_EQ(bf.rankOf(b), b);
+        EXPECT_EQ(bf.localBlocks(b), (std::vector<int>{b}));
+    }
+    // z neighbors follow the slabs; the non-periodic ends have none; x/y
+    // wrap onto the block itself.
+    EXPECT_EQ(bf.neighbor(1, 0, 0, -1)->block, 0);
+    EXPECT_EQ(bf.neighbor(1, 0, 0, 1)->block, 2);
+    EXPECT_EQ(bf.neighbor(1, 1, -1, 1)->rank, 2);
+    EXPECT_FALSE(bf.neighbor(0, 0, 0, -1).has_value());
+    EXPECT_FALSE(bf.neighbor(2, 0, 0, 1).has_value());
+    EXPECT_EQ(bf.neighbor(0, 1, 0, 0)->block, 0);
+}
+
+TEST(BlockForest, UniformZSplitIsAZSlabForest) {
+    auto slabs = BlockForest::createUniform({16, 16, 32}, {16, 16, 16},
+                                            {true, true, false}, 2);
+    EXPECT_TRUE(slabs.isZSlabs());
+    EXPECT_EQ(slabs.layerHeights(), (std::vector<int>{16, 16}));
+    EXPECT_EQ(slabs.blockCells(1), (Int3{16, 16, 16}));
+    // Two blocks per rank, or a split in x: not z-slabs.
+    EXPECT_FALSE(BlockForest::createUniform({16, 16, 32}, {16, 16, 8},
+                                            {true, true, false}, 2)
+                     .isZSlabs());
+    EXPECT_FALSE(BlockForest::createUniform({16, 16, 32}, {8, 16, 32},
+                                            {true, true, false}, 2)
+                     .isZSlabs());
+}
+
 } // namespace
 } // namespace tpf

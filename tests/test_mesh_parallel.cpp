@@ -76,6 +76,18 @@ core::SolverConfig meshConfig(int ranks, int threads) {
     return cfg;
 }
 
+/// A shape whose start-up split is not the uniform one (the solid in the
+/// bottom fifth of 16x16x64, see core/zsplit.h); the heights stay on the
+/// kSlabHeight grid.
+core::SolverConfig balancedConfig(int ranks, int threads) {
+    core::SolverConfig cfg = meshConfig(ranks, threads);
+    cfg.globalCells = {16, 16, 64};
+    if (ranks > 1) cfg.blockSize = {16, 16, 64 / ranks};
+    cfg.init.fillHeight = 12;
+    cfg.window.triggerFraction = 0.1;
+    return cfg;
+}
+
 analysis::MeshObserver::Options meshOptions(const std::string& dir,
                                             int every) {
     analysis::MeshObserver::Options opt;
@@ -90,7 +102,8 @@ analysis::MeshObserver::Options meshOptions(const std::string& dir,
 /// delivery.
 double runWithMeshObserver(const core::SolverConfig& cfg, int ranks,
                            int steps, int every, const std::string& dir,
-                           std::uint64_t shuffleSeed = 0) {
+                           std::uint64_t shuffleSeed = 0,
+                           std::vector<int>* heights = nullptr) {
     double windowOffset = -1.0;
     auto body = [&](vmpi::Comm* comm) {
         core::Solver solver(cfg, comm);
@@ -98,6 +111,8 @@ double runWithMeshObserver(const core::SolverConfig& cfg, int ranks,
         mesh.create(!comm || comm->isRoot());
         mesh.attach(solver);
         solver.initialize();
+        if (heights && (!comm || comm->isRoot()))
+            *heights = solver.forest().layerHeights();
         mesh.sample(solver, 0);
         solver.run(steps);
         if (!comm || comm->isRoot())
@@ -146,6 +161,41 @@ TEST(MeshRankInvariance, IndexAndObjFramesBitwiseIdenticalAcrossRanksAndThreads)
                     EXPECT_TRUE(artifacts.at(name) == bytes)
                         << name << " diverged from ranks=1 threads=1";
             }
+        }
+    }
+}
+
+TEST(MeshRankInvariance, IndexAndObjFramesBitwiseIdenticalOnUnequalHeights) {
+    TempDir dir("balanced");
+    const fs::path refDir = dir.path / "mesh_r1";
+    const double offset = runWithMeshObserver(
+        balancedConfig(1, 1), 1, /*steps=*/16, /*every=*/4, refDir.string());
+    EXPECT_GT(offset, 0.0) << "no window shift during the run";
+    const std::map<std::string, std::string> reference =
+        readArtifacts(refDir);
+    ASSERT_EQ(reference.size(), 16u);
+
+    for (const int ranks : {2, 4}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE("ranks=" + std::to_string(ranks) +
+                         " threads=" + std::to_string(threads));
+            const fs::path out =
+                dir.path / ("mesh_r" + std::to_string(ranks) + "_t" +
+                            std::to_string(threads));
+            std::vector<int> heights;
+            runWithMeshObserver(balancedConfig(ranks, threads), ranks,
+                                /*steps=*/16, /*every=*/4, out.string(),
+                                /*shuffleSeed=*/0, &heights);
+            EXPECT_NE(heights,
+                      std::vector<int>(static_cast<std::size_t>(ranks),
+                                       64 / ranks))
+                << "the split is uniform: this leg tests nothing new";
+            const std::map<std::string, std::string> artifacts =
+                readArtifacts(out);
+            ASSERT_EQ(artifacts.size(), reference.size());
+            for (const auto& [name, bytes] : reference)
+                EXPECT_TRUE(artifacts.at(name) == bytes)
+                    << name << " diverged from ranks=1";
         }
     }
 }

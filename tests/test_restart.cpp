@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -55,6 +57,19 @@ core::SolverConfig windowConfig(int ranks, int threads) {
     return cfg;
 }
 
+/// A shape whose start-up split is not the uniform one: the solid sits in the
+/// bottom fifth of a 16x16x64 domain, so initialize() gives rank 0 fewer
+/// planes (core/zsplit.h). Same window settings as windowConfig, with the
+/// trigger lowered to shift the lower front.
+core::SolverConfig balancedConfig(int ranks, int threads) {
+    core::SolverConfig cfg = windowConfig(ranks, threads);
+    cfg.globalCells = {16, 16, 64};
+    if (ranks > 1) cfg.blockSize = {16, 16, 64 / ranks};
+    cfg.init.fillHeight = 12;
+    cfg.window.triggerFraction = 0.1; // trigger z = 6.4
+    return cfg;
+}
+
 std::string readAll(const fs::path& p) {
     std::ifstream in(p, std::ios::binary);
     return std::string((std::istreambuf_iterator<char>(in)),
@@ -68,7 +83,8 @@ void runStraightAndSplit(const core::SolverConfig& cfg, int ranks, int steps2N,
                          const std::string& midDir,
                          const std::string& splitDir,
                          double* windowOffsetAtMid,
-                         double* windowOffsetAtEnd) {
+                         double* windowOffsetAtEnd,
+                         std::vector<int>* heights = nullptr) {
     const int stepsN = steps2N / 2;
     auto body = [&](vmpi::Comm* comm) {
         // Straight reference: 2N uninterrupted steps.
@@ -87,10 +103,15 @@ void runStraightAndSplit(const core::SolverConfig& cfg, int ranks, int steps2N,
         if (!comm || comm->isRoot())
             *windowOffsetAtMid = b.windowOffsetCells();
 
+        // The fresh solver starts from the uniform split and must adopt the
+        // checkpoint's heights.
         core::Solver c(cfg, comm);
         io::loadCheckpoint(midDir, c);
+        EXPECT_EQ(c.forest().layerHeights(), b.forest().layerHeights());
         c.run(steps2N - stepsN);
         io::saveCheckpoint(splitDir, c);
+        if (heights && (!comm || comm->isRoot()))
+            *heights = a.forest().layerHeights();
     };
     if (ranks == 1)
         body(nullptr);
@@ -133,6 +154,95 @@ TEST(RestartEquivalence, SplitRunMatchesStraightRunBitwise) {
                     << "rank file " << name << " differs";
             }
         }
+    }
+}
+
+/// The restart of a balanced decomposition (the path of tpf-bench's
+/// restart-io): initialize() picks unequal heights, the checkpoint records
+/// them in its block headers, and a freshly constructed solver re-lays
+/// itself to them on load and continues bitwise like the straight run.
+TEST(RestartEquivalence, BalancedSplitRestartsBitwise) {
+    for (const int ranks : {2, 4}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE("ranks=" + std::to_string(ranks) +
+                         " threads=" + std::to_string(threads));
+            TempDir dir("bal_r" + std::to_string(ranks) + "_t" +
+                        std::to_string(threads));
+            const std::string straight = (dir.path / "straight").string();
+            const std::string mid = (dir.path / "mid").string();
+            const std::string split = (dir.path / "split").string();
+
+            double offMid = -1.0, offEnd = -1.0;
+            std::vector<int> heights;
+            runStraightAndSplit(balancedConfig(ranks, threads), ranks,
+                                /*steps2N=*/24, straight, mid, split, &offMid,
+                                &offEnd, &heights);
+            ASSERT_EQ(heights.size(), static_cast<std::size_t>(ranks));
+            EXPECT_NE(heights,
+                      std::vector<int>(static_cast<std::size_t>(ranks),
+                                       64 / ranks))
+                << "the split is uniform: this leg tests nothing new";
+            EXPECT_GT(offMid, 0.0) << "no window shift before the restart";
+
+            const io::CheckpointDiff d =
+                io::compareCheckpoints(straight, split);
+            EXPECT_TRUE(d.identical) << d.message();
+            for (int r = 0; r < ranks; ++r) {
+                const std::string name =
+                    "rank_" + std::to_string(r) + ".tpfchk";
+                EXPECT_EQ(readAll(fs::path(straight) / name),
+                          readAll(fs::path(split) / name))
+                    << "rank file " << name << " differs";
+            }
+            const io::CheckpointMeta meta = io::readCheckpointMeta(mid);
+            ASSERT_EQ(meta.rankZ.size(), heights.size());
+            for (std::size_t r = 0; r < heights.size(); ++r)
+                EXPECT_EQ(meta.rankZ[r][1] - meta.rankZ[r][0], heights[r]);
+        }
+    }
+}
+
+/// Block origins that do not tile the solver's domain on its ranks are a
+/// pointed error naming both layouts, raised on every rank before any
+/// state is touched.
+TEST(RestartEquivalence, TamperedBlockOriginsNameBothLayouts) {
+    TempDir dir("tampered");
+    const std::string chk = (dir.path / "chk").string();
+    const core::SolverConfig cfg = balancedConfig(2, 1);
+    std::vector<int> heights;
+    vmpi::runParallel(2, [&](vmpi::Comm& comm) {
+        core::Solver s(cfg, &comm);
+        s.initialize();
+        io::saveCheckpoint(chk, s);
+        if (comm.isRoot()) heights = s.forest().layerHeights();
+    });
+    ASSERT_EQ(heights.size(), 2u);
+
+    // Move rank 1's block up by 4 planes: originZ is the seventh int32 of
+    // the block header, which follows the 88-byte file header.
+    const fs::path f1 = fs::path(chk) / "rank_1.tpfchk";
+    std::string bytes = readAll(f1);
+    std::int32_t originZ = 0;
+    std::memcpy(&originZ, bytes.data() + 88 + 24, sizeof originZ);
+    ASSERT_EQ(originZ, heights[0]);
+    originZ += 4;
+    std::memcpy(bytes.data() + 88 + 24, &originZ, sizeof originZ);
+    std::ofstream(f1, std::ios::binary | std::ios::trunc) << bytes;
+
+    const std::string fileZ = "[0," + std::to_string(heights[0]) + ") [" +
+                              std::to_string(heights[0] + 4) + ",68)";
+    try {
+        vmpi::runParallel(2, [&](vmpi::Comm& comm) {
+            core::Solver s(cfg, &comm);
+            io::loadCheckpoint(chk, s);
+            FAIL() << "untiled z-extents must throw on all ranks";
+        });
+        FAIL() << "runParallel must rethrow the collective CheckpointError";
+    } catch (const io::CheckpointError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("do not tile"), std::string::npos) << what;
+        EXPECT_NE(what.find(fileZ), std::string::npos) << what;
+        EXPECT_NE(what.find("[0,32) [32,64)"), std::string::npos) << what;
     }
 }
 
