@@ -85,29 +85,54 @@ int valueBytes(CheckpointPrecision p) {
     return p == CheckpointPrecision::Float64 ? 8 : 4;
 }
 
-/// Interior cells of \p field serialized in forEachCell order (z, y, x
-/// outer→inner) with the component index innermost, at \p prec precision.
-std::vector<unsigned char> serializeField(const Field<double>& field,
-                                          CheckpointPrecision prec) {
-    const std::size_t values =
-        static_cast<std::size_t>(field.interior().numCells()) *
-        static_cast<std::size_t>(field.nf());
-    std::vector<unsigned char> buf(values *
-                                   static_cast<std::size_t>(valueBytes(prec)));
+/// Cells \p ci of \p field serialized into \p buf in forEachCell order
+/// (z, y, x outer→inner) with the component index innermost, at \p prec
+/// precision.
+void serializeCells(const Field<double>& field, const CellInterval& ci,
+                    CheckpointPrecision prec, std::vector<unsigned char>& buf) {
+    const std::size_t values = static_cast<std::size_t>(ci.numCells()) *
+                               static_cast<std::size_t>(field.nf());
+    buf.resize(values * static_cast<std::size_t>(valueBytes(prec)));
     std::size_t i = 0;
     if (prec == CheckpointPrecision::Float64) {
         auto* out = reinterpret_cast<double*>(buf.data());
-        forEachCell(field.interior(), [&](int x, int y, int z) {
+        forEachCell(ci, [&](int x, int y, int z) {
             for (int c = 0; c < field.nf(); ++c) out[i++] = field(x, y, z, c);
         });
     } else {
         auto* out = reinterpret_cast<float*>(buf.data());
-        forEachCell(field.interior(), [&](int x, int y, int z) {
+        forEachCell(ci, [&](int x, int y, int z) {
             for (int c = 0; c < field.nf(); ++c)
                 out[i++] = static_cast<float>(field(x, y, z, c));
         });
     }
-    return buf;
+}
+
+/// Field header and payload of \p field, streamed one z-plane at a time so
+/// that no buffer of the whole field is held: the header goes out with a
+/// zero CRC and is rewritten once the payload's CRC is known.
+bool writeField(std::FILE* f, const char* name, const Field<double>& field,
+                CheckpointPrecision prec) {
+    const CellInterval in = field.interior();
+    FieldHeader fh{};
+    std::snprintf(fh.name, sizeof(fh.name), "%s", name);
+    fh.components = static_cast<std::uint32_t>(field.nf());
+    fh.valueBytes = static_cast<std::uint32_t>(valueBytes(prec));
+    fh.payloadBytes = static_cast<std::uint64_t>(in.numCells()) *
+                      fh.components * fh.valueBytes;
+    const long at = std::ftell(f);
+    if (at < 0 || std::fwrite(&fh, sizeof(fh), 1, f) != 1) return false;
+    std::vector<unsigned char> plane;
+    for (int z = in.zMin; z <= in.zMax; ++z) {
+        serializeCells(field, {in.xMin, in.yMin, z, in.xMax, in.yMax, z},
+                       prec, plane);
+        fh.crc = util::crc32(plane.data(), plane.size(), fh.crc);
+        if (std::fwrite(plane.data(), 1, plane.size(), f) != plane.size())
+            return false;
+    }
+    return std::fseek(f, at, SEEK_SET) == 0 &&
+           std::fwrite(&fh, sizeof(fh), 1, f) == 1 &&
+           std::fseek(f, 0, SEEK_END) == 0;
 }
 
 void deserializeField(const std::vector<unsigned char>& buf, int prec,
@@ -476,21 +501,10 @@ bool writeRankFile(const std::string& path, core::Solver& solver, int rank,
             const char* name;
             const Field<double>* field;
         } fields[2] = {{"phi", &b->phiSrc}, {"mu", &b->muSrc}};
-        for (const auto& [name, field] : fields) {
-            const std::vector<unsigned char> payload =
-                serializeField(*field, prec);
-            FieldHeader fh{};
-            std::snprintf(fh.name, sizeof(fh.name), "%s", name);
-            fh.components = static_cast<std::uint32_t>(field->nf());
-            fh.valueBytes = hdr.valueBytes;
-            fh.payloadBytes = payload.size();
-            fh.crc = util::crc32(payload.data(), payload.size());
-            if (std::fwrite(&fh, sizeof(fh), 1, f.get()) != 1 ||
-                std::fwrite(payload.data(), 1, payload.size(), f.get()) !=
-                    payload.size())
+        for (const auto& [name, field] : fields)
+            if (!writeField(f.get(), name, *field, prec))
                 return fail(err, "write failed for '" + path + "' (field '" +
                                      name + "')");
-        }
     }
     if (std::fflush(f.get()) != 0)
         return fail(err, "flush failed for '" + path + "'");

@@ -1,6 +1,6 @@
 #pragma once
 /// \file crc32.h
-/// CRC-32 (IEEE 802.3 / zlib polynomial 0xEDB88320), table-driven. Used by
+/// CRC-32 (IEEE 802.3 / zlib polynomial 0xEDB88320), slicing-by-8. Used by
 /// the checkpoint format to give every stored field a checksum, so a flipped
 /// bit on disk is detected at load time and reported with the offending
 /// field's name instead of silently perturbing a multi-day run.
