@@ -25,10 +25,6 @@
 ///                                 hardware_concurrency so the bench also
 ///                                 runs on single-core CI boxes).
 ///   --steps <n>                   timed steps per measurement (default 6).
-///   --json <path>                 upsert the median whole-step MLUP/s per
-///                                 config plus the ratio of the median
-///                                 blocked to mu-overlap step times into the
-///                                 BENCH_<n>.json trajectory.
 
 #include <algorithm>
 #include <cstdio>
@@ -37,7 +33,6 @@
 #include <vector>
 
 #include "core/solver.h"
-#include "perf/bench_json.h"
 #include "perf/perf.h"
 #include "util/table.h"
 
@@ -111,11 +106,6 @@ std::string spread(const std::vector<double>& v, int digits) {
            ", " + Table::num(*hi, digits) + "]";
 }
 
-double mlupsOf(int ranks, double stepMs) {
-    const double cells = static_cast<double>(kBlock) * kBlock * kBlock * ranks;
-    return cells / (stepMs / 1000.0) / 1e6;
-}
-
 std::vector<int> parseRankList(const std::string& text) {
     std::vector<int> out;
     std::size_t pos = 0;
@@ -135,14 +125,11 @@ std::vector<int> parseRankList(const std::string& text) {
 } // namespace
 
 int main(int argc, char** argv) {
-    std::string jsonPath;
     std::vector<int> rankList{2, 4};
     int steps = 6;
     std::string transportFlag;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--ranks") == 0 && i + 1 < argc) {
+        if (std::strcmp(argv[i], "--ranks") == 0 && i + 1 < argc) {
             rankList = parseRankList(argv[++i]);
         } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
             steps = std::atoi(argv[++i]);
@@ -151,7 +138,7 @@ int main(int argc, char** argv) {
         } else {
             std::fprintf(stderr,
                          "usage: %s [--transport <thread|shm>] "
-                         "[--ranks <a,b,...>] [--steps <n>] [--json <path>]\n",
+                         "[--ranks <a,b,...>] [--steps <n>]\n",
                          argv[0]);
             return 2;
         }
@@ -177,7 +164,6 @@ int main(int argc, char** argv) {
     Table t({"ranks", "phi [ms]", "mu no-overlap [ms]", "mu overlap [ms]",
              "step blocked [ms]", "step mu-overlap [ms]", "overlap ratio",
              "mu-overlap wins"});
-    std::vector<perf::BenchEntry> entries;
 
     for (const int ranks : rankList) {
         std::vector<double> phiMs, muPlainMs, muHiddenMs, plainStep, muStep;
@@ -213,18 +199,6 @@ int main(int argc, char** argv) {
                   Table::num(median(muHiddenMs), 3), spread(plainStep, 2),
                   spread(muStep, 2), Table::num(ratio, 3), wins});
 
-        const std::string tag =
-            std::string(tname) + " r" + std::to_string(ranks) + " 40^3";
-        entries.push_back({"bench_fig8_comm_overlap", "blocked " + tag,
-                           mlupsOf(ranks, plainMed), 0.0});
-        entries.push_back({"bench_fig8_comm_overlap", "mu-overlap " + tag,
-                           mlupsOf(ranks, muMed), 0.0});
-        // Stored in the mlups slot — it is a dimensionless speedup, as the
-        // variant label says.
-        entries.push_back({"bench_fig8_comm_overlap",
-                           "overlap-ratio (blocked/mu-overlap step) " + tag,
-                           ratio, 0.0});
-
         std::printf("  [%s r%d] step: blocked %s ms, mu-overlap %s ms "
                     "-> overlap ratio %.3f, mu-overlap won %s pairs\n",
                     tname, ranks, spread(plainStep, 2).c_str(),
@@ -232,11 +206,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
     t.print();
-
-    if (!jsonPath.empty()) {
-        perf::upsertBenchFile(jsonPath, entries);
-        std::printf("\nwrote %s\n", jsonPath.c_str());
-    }
 
     std::printf("\nPaper's observations to verify: the measured mu "
                 "communication time drops with hiding enabled (what remains is "

@@ -36,6 +36,15 @@ run_step(${TPF_SIM} ${common} --steps 10 --out ${OUT}/split)
 run_step(${TPF_SIM} ${common} --steps 10 --out ${OUT}/split
          --restart ${OUT}/split/checkpoint_step000010)
 
+# `info` reads headers only and must say that it did not verify the
+# payload CRCs.
+execute_process(COMMAND ${TPF_CHK} info ${OUT}/split/checkpoint_step000020
+                RESULT_VARIABLE rc OUTPUT_VARIABLE info_out)
+if(NOT rc EQUAL 0 OR NOT info_out MATCHES "payload CRCs +not verified")
+    message(FATAL_ERROR "restart smoke: tpf-chk info (rc=${rc}) does not "
+                        "report unverified payload CRCs:\n${info_out}")
+endif()
+
 # Bitwise equivalence, or fail with the first divergent field and cell.
 run_step(${TPF_CHK} diff ${OUT}/straight/checkpoint_step000020
          ${OUT}/split/checkpoint_step000020)

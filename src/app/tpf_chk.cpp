@@ -4,7 +4,11 @@
 ///   tpf-chk info <dir>      print the self-describing metadata of a
 ///                           checkpoint directory (format version, step,
 ///                           simulated time, window offset, grid, ranks
-///                           and each rank's z-extent, stored precision)
+///                           and each rank's z-extent, stored precision).
+///                           Reads the headers only: the payload CRCs are
+///                           not verified, and the output says so; run
+///                           `tpf-chk diff <dir> <dir>` for a CRC-verified
+///                           read of every field
 ///   tpf-chk diff <a> <b>    field-by-field comparison of two checkpoints;
 ///                           exit 0 when bitwise identical, 1 with the first
 ///                           divergent field and cell otherwise
@@ -62,6 +66,9 @@ int info(const std::string& dir) {
             std::printf("  rank %-4zu     z [%d, %d)  %d planes\n", r,
                         m.rankZ[r][0], m.rankZ[r][1],
                         m.rankZ[r][1] - m.rankZ[r][0]);
+        std::printf("payload CRCs    not verified (headers only); "
+                    "'tpf-chk diff %s %s' verifies them\n",
+                    dir.c_str(), dir.c_str());
         return 0;
     } catch (const io::CheckpointError& e) {
         std::fprintf(stderr, "tpf-chk: %s\n", e.what());

@@ -229,11 +229,14 @@ bool readRankFile(const std::string& path, ParsedRank& out, ReadMode mode,
     // The header is not CRC-protected, so every consumer of these fields
     // (including compareCheckpoints' rank loop) depends on the sanity
     // bounds here — e.g. a zeroed numRanks must not shrink a diff to an
-    // empty comparison that reports "identical".
+    // empty comparison that reports "identical", and a block edge outside
+    // [1, global] must not reach `tpf-chk info` or a --restart hint.
     if (hdr.fieldsPerBlock != 2 || hdr.numBlocks < 0 ||
         hdr.numBlocks > 1000000 || hdr.globalX <= 0 || hdr.globalY <= 0 ||
-        hdr.globalZ <= 0 || hdr.numRanks <= 0 || hdr.numRanks > 1000000 ||
-        hdr.rank < 0 || hdr.rank >= hdr.numRanks)
+        hdr.globalZ <= 0 || hdr.blockX < 1 || hdr.blockX > hdr.globalX ||
+        hdr.blockY < 1 || hdr.blockY > hdr.globalY || hdr.blockZ < 1 ||
+        hdr.blockZ > hdr.globalZ || hdr.numRanks <= 0 ||
+        hdr.numRanks > 1000000 || hdr.rank < 0 || hdr.rank >= hdr.numRanks)
         return fail(err, "corrupt checkpoint header in '" + path + "'");
     if (mode == ReadMode::HeaderOnly) return true;
 

@@ -219,10 +219,19 @@ TEST(Checkpoint, CorruptedByteIsDetectedAndNamesTheField) {
     }
 }
 
-TEST(Checkpoint, CorruptedRankCountCannotFakeAnIdenticalDiff) {
+/// A hostile value written at a byte offset of the file header.
+struct HeaderPatch {
+    int offset;
+    std::int32_t value;
+};
+
+class CorruptedHeader : public ::testing::TestWithParam<HeaderPatch> {};
+
+TEST_P(CorruptedHeader, CannotFakeAnIdenticalDiff) {
     // The header is not CRC-protected: a zeroed numRanks must be rejected
     // as corrupt, not shrink compareCheckpoints to an empty (and therefore
-    // "identical") comparison.
+    // "identical") comparison, and a block edge larger than the domain must
+    // not reach the metadata `tpf-chk info` prints.
     TempDir dir;
     core::Solver s(testConfig());
     s.initialize();
@@ -233,9 +242,9 @@ TEST(Checkpoint, CorruptedRankCountCannotFakeAnIdenticalDiff) {
         std::fstream f(file, std::ios::in | std::ios::out |
                                  std::ios::binary);
         ASSERT_TRUE(f.good());
-        f.seekp(72); // FileHeader::numRanks
-        const std::int32_t zero = 0;
-        f.write(reinterpret_cast<const char*>(&zero), sizeof(zero));
+        f.seekp(GetParam().offset);
+        const std::int32_t value = GetParam().value;
+        f.write(reinterpret_cast<const char*>(&value), sizeof(value));
     }
 
     const CheckpointDiff d =
@@ -244,7 +253,20 @@ TEST(Checkpoint, CorruptedRankCountCannotFakeAnIdenticalDiff) {
     EXPECT_NE(d.structural.find("corrupt checkpoint header"),
               std::string::npos)
         << d.message();
+    try {
+        readCheckpointMeta(dir.path.string());
+        ADD_FAILURE() << "a corrupt header must not yield metadata";
+    } catch (const CheckpointError& e) {
+        EXPECT_NE(std::string(e.what()).find("corrupt checkpoint header"),
+                  std::string::npos)
+            << e.what();
+    }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Checkpoint, CorruptedHeader,
+    ::testing::Values(HeaderPatch{72, 0},          // FileHeader::numRanks
+                      HeaderPatch{68, 67108880})); // FileHeader::blockZ
 
 TEST(Checkpoint, TruncatedFileIsDetected) {
     TempDir dir;
